@@ -407,7 +407,9 @@ def image_at_cut(
     to the same address are always ordered by strong persist atomicity,
     so any linear extension yields the same bytes.  Accepts a bitmask
     cut; either way only the cut's members are visited (ascending pid),
-    not the whole node list.
+    not the whole node list.  The copy is copy-on-write
+    (:meth:`NvramImage.copy`), so an image costs O(pages the base and
+    the cut's persists touch), not O(region size).
 
     Raises:
         RecoveryError: when ``check`` is set and the cut is inconsistent.

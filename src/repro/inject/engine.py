@@ -81,9 +81,10 @@ def materialize_faulty(
 ) -> Tuple[NvramImage, List[InjectedFault]]:
     """Apply ``cut`` to a copy of ``base_image``, injecting planned faults.
 
-    Walks persists in creation order (as :func:`~repro.core.recovery.image_at_cut`
-    does) and, per persist, decides drop / tear / apply; afterwards flips
-    ``plan.corrupt`` bits inside landed blocks.  Returns the image plus
+    Visits only the cut's members, in ascending pid (creation) order, as
+    :func:`~repro.core.recovery.image_at_cut` does, and per persist
+    decides drop / tear / apply; afterwards flips ``plan.corrupt`` bits
+    inside landed blocks.  Returns the image plus
     the exact faults injected — an empty list means the image is
     byte-identical to the clean cut image.
     """
@@ -98,9 +99,12 @@ def materialize_faulty(
     )
     landed: List[Tuple[int, bytes]] = []
 
-    for node in graph.nodes:
-        if node.pid not in cut_set:
+    nodes = graph.nodes
+    count = len(nodes)
+    for pid in sorted(cut_set):
+        if not 0 <= pid < count:
             continue
+        node = nodes[pid]
         if budget > 0 and node.pid in droppable and rng.random() < plan.dropped:
             budget -= 1
             faults.append(
