@@ -80,15 +80,8 @@ def _stream(chunks):
 
 
 def test_streaming_columnar_throughput(lane_chunks, benchmark):
-    """Chunked columnar analysis — the streaming fast path."""
+    """Chunked columnar analysis of a pre-encoded gpu-lanes trace."""
     result = benchmark(lambda: _stream(lane_chunks))
-    assert result.critical_path > 0
-
-
-def test_batch_event_throughput(lane_chunks, benchmark):
-    """One-shot analyze() over materialized events, for the ratio."""
-    events = [event for chunk in lane_chunks for event in chunk]
-    result = benchmark(lambda: analyze(events, "epoch", _STREAM_CONFIG))
     assert result.critical_path > 0
 
 

@@ -14,24 +14,26 @@ to their atomic block when no ordering constraint is violated, and
 dependences propagate at a configurable granularity, so that persistent
 false sharing (Figure 5) and atomic persist size (Figure 4) can be swept.
 
-Two entry points share one engine:
+There is one engine, :meth:`StreamingAnalyzer._feed_chunk`, and it runs
+on struct-of-arrays :class:`~repro.trace.columnar.ColumnarChunk` batches:
+it dispatches on integer kind codes (no enum identity chains), batches
+maximal same-block persistent-store runs into one domain call, and —
+with a ``node_sink`` — retires sealed persists' write payloads so
+resident memory is bounded by the dependence frontier, not by trace
+length.  Two entry points feed it:
 
-* :func:`analyze` — one-shot over an in-memory trace (the original API;
-  now a thin wrapper).
-* :class:`StreamingAnalyzer` — resumable: feed events, whole traces, or
-  struct-of-arrays :class:`~repro.trace.columnar.ColumnarChunk` batches
-  in any mix, then :meth:`~StreamingAnalyzer.finish`.  The chunk path
-  dispatches on integer kind codes (no enum identity chains), batches
-  maximal same-block persistent-store runs into one domain call, and —
-  with a ``node_sink`` — retires sealed persists' write payloads so
-  resident memory is bounded by the dependence frontier, not by trace
-  length.
+* :func:`analyze` — one-shot over a whole trace (a thin wrapper).
+* :class:`StreamingAnalyzer` — resumable: feed chunks, columnar traces,
+  plain traces or event iterables in any mix, then
+  :meth:`~StreamingAnalyzer.finish`.  Sources that are not columnar are
+  encoded with :func:`~repro.trace.columnar.chunks_from_events` on the
+  way in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.core.bitgraph import BitsetGraphDomain
 from repro.core.lattice import (
@@ -58,9 +60,9 @@ from repro.trace.columnar import (
     HAVE_NUMPY,
     ColumnarChunk,
     ColumnarTrace,
+    chunks_from_events,
 )
 from repro.trace.columnar import _np
-from repro.trace.events import EventKind, MemoryEvent
 from repro.trace.trace import Trace
 
 
@@ -184,6 +186,8 @@ class StreamingAnalyzer:
     :func:`analyze`), :meth:`feed` any mix of event iterables, traces,
     columnar traces, or single :class:`ColumnarChunk` batches — in trace
     order — then call :meth:`finish` for the :class:`AnalysisResult`.
+    Every source runs through the one columnar engine; event sources are
+    encoded into chunks first.
 
     State between feeds is exactly the engine's dependence frontier: the
     per-block last-writer/reader values, the pending (still-coalescible)
@@ -254,17 +258,21 @@ class StreamingAnalyzer:
         ``source`` may be a :class:`ColumnarChunk`, a
         :class:`ColumnarTrace`, a :class:`Trace`, or any iterable of
         :class:`MemoryEvent`.  Events must arrive in SC trace order
-        across all feed calls.
+        across all feed calls; an event source is encoded into chunks
+        as it is consumed, and raises :class:`~repro.errors.TraceError`
+        unless its sequence numbers continue densely from
+        :attr:`events_fed`.
         """
         if self._finished:
             raise AnalysisError("cannot feed a finished StreamingAnalyzer")
         if isinstance(source, ColumnarChunk):
-            self._feed_chunk(source)
+            chunks = (source,)
         elif isinstance(source, ColumnarTrace):
-            for chunk in source.chunks():
-                self._feed_chunk(chunk)
+            chunks = source.chunks()
         else:
-            self._feed_events(source)
+            chunks = chunks_from_events(source, base_seq=self._events)
+        for chunk in chunks:
+            self._feed_chunk(chunk)
         return self
 
     def finish(self) -> AnalysisResult:
@@ -291,148 +299,11 @@ class StreamingAnalyzer:
             graph=self._graph,
         )
 
-    # -- event path (reference) ---------------------------------------------
-
-    def _feed_events(self, events: Iterable[MemoryEvent]) -> None:
-        """Per-event reference path: plain traces and event iterables."""
-        model = self.model
-        domain = self.domain
-        config = self.config
-        persist_gran = config.persist_granularity
-        tracking_gran = config.tracking_granularity
-        coalescing = config.coalescing
-        detect_lbs = model.detect_load_before_store
-        track_volatile = model.track_volatile_conflicts
-        sink = self._node_sink
-
-        join = domain.join
-        write_dep = self._write_dep
-        read_dep = self._read_dep
-        pending = self._pending
-        block_writes = self._block_writes
-
-        count = 0
-        persist_stores = self._persist_stores
-        coalesced = self._coalesced
-        barriers = self._barriers
-        strands = self._strands
-
-        for event in events:
-            count += 1
-            kind = event.kind
-            if kind is EventKind.PERSIST_BARRIER:
-                barriers += 1
-                model.on_barrier(event.thread)
-                continue
-            if kind is EventKind.NEW_STRAND:
-                strands += 1
-                model.on_new_strand(event.thread)
-                continue
-            if kind is EventKind.SFENCE or kind is EventKind.FENCE:
-                # An mfence carries sfence semantics on x86 (commits the
-                # thread's outstanding weak flushes); the SC models ignore
-                # both.
-                model.on_sfence(event.thread)
-                continue
-            if event.is_flush:
-                # The flushed line's persist chain is whatever the last
-                # persist to each covered tracking block depends on (which
-                # transitively includes the whole same-block chain).
-                first = event.addr // tracking_gran
-                last = (event.addr + event.size - 1) // tracking_gran
-                deps = None
-                if last - first >= len(write_dep):
-                    # Wide flush over a sparse chain map: walk the blocks
-                    # that actually have chains instead of the whole
-                    # flushed range (join is commutative/associative, so
-                    # visiting map order is equivalent to block order).
-                    for block, chain in write_dep.items():
-                        if first <= block <= last:
-                            deps = chain if deps is None else join(deps, chain)
-                else:
-                    for block in range(first, last + 1):
-                        chain = write_dep.get(block)
-                        if chain is not None:
-                            deps = chain if deps is None else join(deps, chain)
-                if deps is not None:
-                    model.on_flush(
-                        event.thread,
-                        deps,
-                        synchronous=kind is EventKind.CLFLUSH,
-                    )
-                continue
-            if not event.is_access:
-                continue
-
-            thread = event.thread
-            if kind is EventKind.RMW or event.info == "rmw-fail":
-                # Atomics are fences on x86 — even a failed CAS (traced as a
-                # LOAD tagged "rmw-fail") commits outstanding weak flushes.
-                model.on_sfence(thread)
-            # Store-buffer-forwarded loads (TSO machines) never touched
-            # memory: they observe the thread's own pending store, an
-            # ordering program order already provides.
-            tracked = (
-                (event.persistent or track_volatile)
-                and event.info != "sb-forward"
-            )
-            observed = model.thread_in(thread)
-            tblock = event.addr // tracking_gran
-            store_like = event.is_store_like
-            if tracked:
-                last_write = write_dep.get(tblock)
-                if last_write is not None:
-                    observed = join(observed, last_write)
-                if store_like and detect_lbs:
-                    reads = read_dep.get(tblock)
-                    if reads is not None:
-                        observed = join(observed, reads)
-
-            value_after = observed
-            if event.is_persist:
-                persist_stores += 1
-                pblock = event.addr // persist_gran
-                token = pending.get(pblock)
-                if (
-                    coalescing
-                    and token is not None
-                    and domain.leq(observed, token)
-                ):
-                    domain.coalesce(token, event)
-                    coalesced += 1
-                else:
-                    deps = observed
-                    if token is not None:
-                        deps = join(deps, domain.value_of(token))
-                        if sink is not None:
-                            self._seal(token)
-                    token = domain.persist(deps, event)
-                    pending[pblock] = token
-                    block_writes[pblock] = block_writes.get(pblock, 0) + 1
-                value_after = domain.value_of(token)
-
-            if tracked:
-                if store_like:
-                    write_dep[tblock] = value_after
-                    read_dep.pop(tblock, None)
-                else:
-                    reads = read_dep.get(tblock)
-                    read_dep[tblock] = (
-                        value_after if reads is None else join(reads, value_after)
-                    )
-            model.absorb(thread, value_after)
-
-        self._events += count
-        self._persist_stores = persist_stores
-        self._coalesced = coalesced
-        self._barriers = barriers
-        self._strands = strands
-
-    # -- chunk path (columnar fast path) ------------------------------------
+    # -- engine ---------------------------------------------------------------
 
     def _feed_chunk(self, chunk: ColumnarChunk) -> None:
-        """Columnar fast path: table dispatch on kind codes plus batched
-        same-block coalescing runs.
+        """The propagation engine: table dispatch on kind codes plus
+        batched same-block coalescing runs.
 
         A *run* is a maximal sequence of consecutive plain persistent
         STOREs from one thread into one tracking block and one atomic
@@ -711,7 +582,7 @@ class StreamingAnalyzer:
 
 
 #: Placeholder event for level-domain persists: the domain never touches
-#: the event, so the chunk path avoids building one per persist.
+#: the event, so the engine avoids building one per persist.
 _NO_PAYLOAD = None
 
 
@@ -731,9 +602,11 @@ def analyze(
     ``"bitset"`` additionally materialises the persist DAG on packed
     integer masks, ``"graph"`` on reference frozensets.
 
-    ``trace`` may equally be a :class:`~repro.trace.columnar.
-    ColumnarTrace`, which takes the streaming chunk fast path; results
-    are identical either way (the parity property suite asserts this).
+    ``trace`` may be a :class:`Trace`, a :class:`~repro.trace.columnar.
+    ColumnarTrace` or any event iterable; all of them run the one
+    columnar engine (event sources are encoded on the way in).  The
+    parity property suite checks it against a per-event reference
+    implementation kept with the tests.
     """
     return StreamingAnalyzer(model, config, domain).feed(trace).finish()
 

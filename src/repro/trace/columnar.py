@@ -218,12 +218,21 @@ def chunks_from_events(
     """Encode an event stream into columnar chunks, lazily.
 
     Consumes ``events`` incrementally — at most one chunk is held at a
-    time, so arbitrarily long streams encode in bounded memory.
+    time, so arbitrarily long streams encode in bounded memory.  Chunks
+    number events implicitly, so the stream's sequence numbers must run
+    densely from ``base_seq`` (the rule :meth:`Trace.append` enforces);
+    a gap or reordering raises :class:`TraceError`.
     """
     if chunk_events <= 0:
         raise TraceError(f"chunk_events must be positive, got {chunk_events}")
     chunk = ColumnarChunk(base_seq)
+    expected = base_seq
     for event in events:
+        if event.seq != expected:
+            raise TraceError(
+                f"event seq {event.seq} out of order; expected {expected}"
+            )
+        expected += 1
         chunk.append_event(event)
         if len(chunk) >= chunk_events:
             yield chunk

@@ -1,24 +1,29 @@
-"""Streaming-analyzer parity: chunked results must equal one-shot.
+"""Engine parity: every analysis must equal the per-event reference.
 
-The streaming engine is only an optimisation — kind-code dispatch,
-batched coalescing runs, touched-block flush joins, and incremental
-DAG levels must be *invisible* in the results.  These tests drive
-random traces through :class:`~repro.core.analysis.StreamingAnalyzer`
-in columnar chunks of adversarial sizes and assert every observable
-result field (and, on graph domains, the persist DAG itself) matches
-the per-event ``analyze()`` reference, across all models and domains.
+The engine in :class:`~repro.core.analysis.StreamingAnalyzer` is the
+only production implementation of the propagation rules; kind-code
+dispatch, batched coalescing runs, touched-block flush joins, and
+incremental DAG levels must be *invisible* in its results.  These tests
+drive random traces through it in columnar chunks of adversarial sizes
+and assert every observable result field (and, on graph domains, the
+persist DAG itself) matches ``reference_analyze`` — the one-shot,
+per-event oracle in :mod:`tests.core.reference_analysis` — across all
+models and domains, and on both the numpy and the stdlib run-boundary
+precompute.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AnalysisConfig, StreamingAnalyzer, analyze
+from repro.core import AnalysisConfig, StreamingAnalyzer, analysis
 from repro.core.model import MODELS
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TraceError
 from repro.trace import ColumnarTrace, EventKind, MemoryEvent, Trace
+from repro.trace.columnar import HAVE_NUMPY
 
 from tests.core.helpers import B, L, NS, P, R, S, V, build
+from tests.core.reference_analysis import reference_analyze
 
 DOMAINS = ("level", "graph", "bitset")
 
@@ -79,19 +84,78 @@ _access = st.tuples(
 )
 _annotation = st.tuples(
     st.integers(0, 2),
-    st.sampled_from([B, NS, EventKind.SFENCE, EventKind.CLFLUSH]),
+    st.sampled_from(
+        [B, NS, EventKind.SFENCE, EventKind.CLFLUSH, EventKind.CLWB]
+    ),
     st.integers(0, 15),
 )
 _script = st.lists(st.one_of(_access, _annotation), max_size=40)
+
+#: One witness script per propagation rule: each analyzes differently
+#: when the engine drops that rule.  Random scripts rarely line up the
+#: few events a rule needs, so the parity tests always run these too.
+#: A sixth access field sets the event's ``info``.
+_RULE_WITNESSES = {
+    "load-before-store": [
+        (0, S, 0, True, False),
+        (0, L, 1, True, False),
+        (1, S, 1, True, False),
+    ],
+    "conflict-through-volatile": [
+        (0, S, 0, True, False),
+        (0, S, 1, False, False),
+        (1, L, 1, False, False),
+        (1, S, 2, True, False),
+    ],
+    "coalescing-refused": [
+        (0, S, 0, True, False),
+        (0, S, 1, True, False),
+        (0, S, 0, True, False),
+    ],
+    "flush-then-sfence": [
+        (0, S, 0, True, False),
+        (0, EventKind.CLWB, 0),
+        (0, EventKind.SFENCE, 0),
+        (0, S, 1, True, False),
+    ],
+    "rmw-is-a-fence": [
+        (0, S, 0, True, False),
+        (0, EventKind.CLWB, 0),
+        (0, R, 2, False, False),
+        (0, S, 1, True, False),
+    ],
+    "failed-cas-is-a-fence": [
+        (0, S, 0, True, False),
+        (0, EventKind.CLWB, 0),
+        (0, L, 2, False, False, "rmw-fail"),
+        (0, S, 1, True, False),
+    ],
+    "sb-forward-untracked": [
+        (1, S, 3, True, False),
+        (1, S, 1, True, False),
+        (0, L, 1, True, False, "sb-forward"),
+        (0, S, 2, True, False),
+    ],
+}
+
+
+def _with_rule_witnesses(test):
+    """Add every ``_RULE_WITNESSES`` script as an explicit example."""
+    for script in _RULE_WITNESSES.values():
+        test = example(script=script, chunk_events=1, coalescing=True)(test)
+    return test
 
 
 def trace_from_script(script, info_every=0):
     events = []
     for index, spec in enumerate(script):
-        if len(spec) == 5:
-            thread, kind, slot, persistent, sync = spec
+        if len(spec) >= 5:
+            thread, kind, slot, persistent, sync = spec[:5]
             base = P if persistent else V
-            info = "x" if info_every and index % info_every == 0 else ""
+            if len(spec) > 5:
+                info = spec[5]
+            else:
+                info = "x" if info_every and index % info_every == 0 else ""
             events.append(
                 MemoryEvent(
                     seq=len(events),
@@ -107,7 +171,7 @@ def trace_from_script(script, info_every=0):
             )
         else:
             thread, kind, slot = spec
-            if kind is EventKind.CLFLUSH:
+            if kind in (EventKind.CLFLUSH, EventKind.CLWB):
                 events.append(
                     MemoryEvent(
                         seq=len(events),
@@ -126,26 +190,47 @@ def trace_from_script(script, info_every=0):
     return trace
 
 
+@pytest.fixture(
+    params=[
+        pytest.param(
+            True,
+            id="numpy",
+            marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+        ),
+        pytest.param(False, id="stdlib"),
+    ]
+)
+def precompute(request, monkeypatch):
+    """Force one branch of the engine's run-boundary precompute."""
+    monkeypatch.setattr(analysis, "HAVE_NUMPY", request.param)
+
+
+#: The branch a ``precompute`` run forces holds for every example.
+_FIXTURE_OK = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.usefixtures("precompute")
 class TestRandomParity:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, **_FIXTURE_OK)
     @given(
         script=_script,
         chunk_events=st.sampled_from([1, 3, 17, 64]),
         coalescing=st.booleans(),
     )
+    @_with_rule_witnesses
     def test_all_models_all_domains(self, script, chunk_events, coalescing):
         trace = trace_from_script(script, info_every=7)
         config = AnalysisConfig(coalescing=coalescing)
         for model in MODELS:
             for domain in DOMAINS:
-                reference = analyze(trace, model, config, domain=domain)
+                reference = reference_analyze(trace, model, config, domain)
                 streamed = stream(trace, model, config, domain, chunk_events)
                 context = f"({model}/{domain}/chunk={chunk_events})"
                 assert_results_equal(reference, streamed, context)
                 if domain == "graph":
                     assert_dags_equal(reference, streamed, context)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, **_FIXTURE_OK)
     @given(
         script=_script,
         persist_granularity=st.sampled_from([8, 64]),
@@ -162,7 +247,7 @@ class TestRandomParity:
         )
         for model in ("epoch", "strand", "px86"):
             for domain in ("level", "bitset"):
-                reference = analyze(trace, model, config, domain=domain)
+                reference = reference_analyze(trace, model, config, domain)
                 streamed = stream(trace, model, config, domain, 13)
                 assert_results_equal(
                     reference,
@@ -189,7 +274,7 @@ class TestRunBatching:
         config = AnalysisConfig(
             persist_granularity=64, tracking_granularity=64
         )
-        reference = analyze(trace, model, config)
+        reference = reference_analyze(trace, model, config)
         for chunk_events in (5, 64, 1000):
             streamed = stream(trace, model, config, "level", chunk_events)
             assert_results_equal(reference, streamed, f"({model})")
@@ -202,7 +287,7 @@ class TestRunBatching:
         config = AnalysisConfig(
             persist_granularity=64, tracking_granularity=64
         )
-        reference = analyze(trace, "epoch", config)
+        reference = reference_analyze(trace, "epoch", config)
         for chunk_events in (1, 7, 39, 40):
             streamed = stream(trace, "epoch", config, "level", chunk_events)
             assert_results_equal(reference, streamed, f"chunk={chunk_events}")
@@ -228,7 +313,7 @@ class TestRunBatching:
             )
         config = AnalysisConfig(persist_granularity=64, tracking_granularity=64)
         for model in ("epoch", "bpfs"):
-            reference = analyze(annotated, model, config)
+            reference = reference_analyze(annotated, model, config)
             streamed = stream(annotated, model, config, "level", 4)
             assert_results_equal(reference, streamed, model)
 
@@ -260,7 +345,7 @@ class TestFlushTouchedBlocks:
             )
         )
         for model in ("px86", "dpox86"):
-            reference = analyze(flushed, model)
+            reference = reference_analyze(flushed, model)
             streamed = stream(flushed, model, None, "level", 2)
             assert_results_equal(reference, streamed, model)
 
@@ -282,9 +367,21 @@ class TestStreamingApi:
         assert analyzer.finish().events == 3
 
     def test_feed_accepts_plain_event_iterables(self):
-        trace = build([(0, S, P, 1), (0, S, P + 8, 2)])
-        chunked = StreamingAnalyzer("strict")
-        chunked.feed(ColumnarTrace.from_trace(trace))
-        scalar = StreamingAnalyzer("strict")
-        scalar.feed(iter(trace))
-        assert_results_equal(chunked.finish(), scalar.finish())
+        trace = build([(0, S, P, 1), (0, B), (0, S, P + 8, 2)])
+        analyzer = StreamingAnalyzer("strict")
+        analyzer.feed(iter(trace.events[:1]))
+        analyzer.feed(trace.events[1:])
+        assert_results_equal(
+            reference_analyze(trace, "strict"), analyzer.finish()
+        )
+
+    def test_feed_rejects_gapped_seqs(self):
+        """Chunks number events implicitly; a gap must not renumber."""
+        events = [
+            MemoryEvent(seq=seq, thread=0, kind=EventKind.PERSIST_BARRIER)
+            for seq in (0, 1, 5, 3)
+        ]
+        with pytest.raises(TraceError, match="seq 5 out of order; expected 2"):
+            StreamingAnalyzer("epoch").feed(events)
+        with pytest.raises(TraceError, match="seq 0 out of order; expected 2"):
+            StreamingAnalyzer("epoch").feed(events[:2]).feed(events[:2])

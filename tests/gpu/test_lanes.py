@@ -20,6 +20,8 @@ from repro.memory import layout
 from repro.memory.nvram import NvramImage
 from repro.sim import RandomScheduler, RoundRobinScheduler
 
+from tests.core.reference_analysis import reference_analyze
+
 
 def _final_image(machine):
     return NvramImage.from_region(
@@ -147,11 +149,16 @@ class TestSyntheticTrace:
             chunked = StreamingAnalyzer(model, config)
             for chunk in iter_lane_chunks(8, 4, 4, 4, chunk_events=31):
                 chunked.feed(chunk)
-            scalar = StreamingAnalyzer(model, config)
-            for chunk in iter_lane_chunks(8, 4, 4, 4, chunk_events=31):
-                scalar.feed(iter(chunk))
             a = chunked.finish()
-            b = scalar.finish()
+            b = reference_analyze(
+                (
+                    event
+                    for chunk in iter_lane_chunks(8, 4, 4, 4, chunk_events=31)
+                    for event in chunk
+                ),
+                model,
+                config,
+            )
             assert (
                 a.critical_path,
                 a.persist_count,
@@ -199,13 +206,11 @@ class TestBenchCli:
                 "--scope", "4",
                 "--chunk-events", "64",
                 "--models", "epoch",
-                "--lockstep",
             ]
         )
         assert status == 0
         report = json.loads(capsys.readouterr().out)
         assert report["events"] == lane_event_count(8, 6, 4, 4)
-        assert report["models"]["epoch"]["lockstep_equal"] is True
         assert report["failures"] == []
         assert report["peak_rss_kb"] > 0
 

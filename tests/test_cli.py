@@ -112,6 +112,24 @@ class TestAnalyze:
         assert code == 0
         assert "epoch" in capsys.readouterr().out
 
+    def test_stream_rejects_gapped_seqs_like_batch(self, tmp_path, capsys):
+        from repro.trace import EventKind, MemoryEvent, TraceWriter
+
+        path = tmp_path / "gapped.jsonl"
+        with TraceWriter(path) as writer:
+            for seq in (0, 1, 5, 3):
+                writer.write(
+                    MemoryEvent(
+                        seq=seq, thread=0, kind=EventKind.PERSIST_BARRIER
+                    )
+                )
+        assert main(["analyze", str(path)]) == 2
+        batch = capsys.readouterr()
+        assert main(["analyze", str(path), "--stream"]) == 2
+        streamed = capsys.readouterr()
+        assert "seq 5 out of order; expected 2" in batch.err
+        assert (streamed.out, streamed.err) == (batch.out, batch.err)
+
     def test_stream_rejects_wear(self, trace_path, capsys):
         code = main(["analyze", str(trace_path), "--stream", "--wear"])
         assert code == 2

@@ -15,7 +15,7 @@ from repro.trace import (
     TraceWriter,
     chunks_from_events,
 )
-from repro.trace.io import dump
+from repro.trace.io import dump, load_file
 
 
 def sample_events(count=10):
@@ -176,6 +176,24 @@ class TestStreamingIo:
                 writer.write_chunk(chunk)
         with TraceReader(path) as reader:
             assert list(reader.events()) == trace.events
+
+    def test_reader_chunks_reject_gapped_seqs(self, tmp_path):
+        """Chunks must not renumber a file the batch loader rejects."""
+        path = tmp_path / "gapped.jsonl"
+        with TraceWriter(path) as writer:
+            for seq in (0, 1, 5, 3):
+                writer.write(
+                    MemoryEvent(
+                        seq=seq, thread=0, kind=EventKind.PERSIST_BARRIER
+                    )
+                )
+        with pytest.raises(TraceError) as batch:
+            load_file(path)
+        with TraceReader(path) as reader:
+            with pytest.raises(TraceError) as streamed:
+                list(reader.chunks())
+        assert str(streamed.value) == str(batch.value)
+        assert "seq 5 out of order; expected 2" in str(batch.value)
 
     def test_closed_reader_rejects_iteration(self):
         buffer = io.StringIO()
