@@ -26,6 +26,21 @@ Deduplication soundness:
   memo hit that was a violation is *re-recorded* under the current
   model — distinct violation sets per model are preserved exactly.
 
+Incremental analysis: the persist analysis is one pass over the trace
+in SC order, so its state after a prefix of events depends on that
+prefix only — two traces that agree on their first ``k`` events leave
+each model's analyzer in the same state after ``k`` events.  The checker
+therefore keeps one :class:`~repro.core.analysis.StreamingAnalyzer` per
+model for the whole exploration, checkpoints it at the engine's
+``resume_points``, and per schedule rolls it back to the deepest
+checkpoint within the run's shared ``prefix`` and feeds only the rest
+of the trace.  Trace positions are the same for every model, so one
+stack of positions serves them all.  The graph each model's ``finish``
+returns aliases that analyzer's live domain: it is valid for the
+current schedule only, the same lifetime rule shared replay sets for
+the run's result.  Under re-execution and the history oracles the same
+loop runs with a prefix of 0.
+
 Under a history oracle (``CheckConfig.oracle`` of ``"dl"``/``"bdl"``)
 **both deduplications are disabled**: the durable-linearizability
 verdict depends on *cut membership* (which operations are
@@ -40,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.analysis import analyze_graph
+from repro.core.analysis import AnalysisConfig, StreamingAnalyzer
 from repro.core.recovery import (
     cut_content_key,
     cut_members,
@@ -57,6 +72,7 @@ from repro.histories.oracle import cut_checker, validate_oracle
 from repro.memory.nvram import NvramImage
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
+from repro.trace.columnar import chunks_from_events
 
 #: Persistency models checked when the caller does not choose.
 DEFAULT_MODELS = ("strict", "epoch", "strand")
@@ -320,8 +336,10 @@ def check_runs(
     trace, base NVRAM image, and recovery checker out of its result.
     In shared-replay mode the result aliases the one retained machine,
     so each schedule is fully processed here before the next one runs —
-    which the per-schedule loop below already guarantees.  This is the
-    engine room under :func:`check_build` and :func:`check_target`.
+    which the per-schedule loop below already guarantees.  ``trace_of``
+    must return the run's machine trace (or an equal copy): the engine
+    reports shared prefixes as positions in it.  This is the engine
+    room under :func:`check_build` and :func:`check_target`.
 
     With a history oracle on the config, ``history_spec_of`` must
     project the run's :class:`~repro.histories.oracle.HistorySpec`; the
@@ -346,18 +364,46 @@ def check_runs(
     )
     result = CheckResult(stats=CheckStats())
     seen_dags: Dict[str, Set[str]] = {model: set() for model in config.models}
+    # One analyzer per model for the whole run, rewound per schedule.
+    # ``positions`` is the trace position of each live checkpoint, shared
+    # by every model: analyzer.checkpoints[k] sits at positions[k].
+    analyzers = []
+    for model in config.models:
+        analyzer = StreamingAnalyzer(
+            model,
+            AnalysisConfig(coalescing=False),
+            domain=config.graph_domain,
+        )
+        analyzer.checkpoint()
+        analyzers.append((model, analyzer))
+    positions = [0]
     stop = False
     for explored in engine.explore():
         trace = trace_of(explored.result)
         base = base_of(explored.result)
         check = checker_of(explored.result)
         memo: Dict[str, Optional[str]] = {}
+        while positions[-1] > explored.prefix:
+            positions.pop()
+        top = len(positions) - 1
+        start = positions[-1]
+        marks = [point for point in explored.resume_points if point > start]
+        suffix = trace.events[start:]
+        chunk = next(
+            chunks_from_events(
+                suffix, chunk_events=max(1, len(suffix)), base_seq=start
+            ),
+            None,
+        )
         # One history judge per execution: persist ids are
         # model-independent, so the first model's graph attributes
         # operations for every model of this trace.
         oracle_check = None
-        for model in config.models:
-            graph = analyze_graph(trace, model, domain=config.graph_domain).graph
+        for model, analyzer in analyzers:
+            analyzer.rollback(analyzer.checkpoints[top])
+            if chunk is not None:
+                analyzer.feed(chunk, checkpoint_at=marks)
+            graph = analyzer.finish().graph
             result.stats.dags_analyzed += 1
             dag_key = canonical_dag_key(graph)
             if not oracle_mode:
@@ -417,6 +463,7 @@ def check_runs(
                 break
         if stop:
             break
+        positions.extend(marks)
     _fold_engine_stats(result.stats, engine.stats)
     return result
 

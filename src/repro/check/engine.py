@@ -22,6 +22,15 @@ available (``replay=``):
   its cuts) before requesting the next, because the following iteration
   rewinds the machine and truncates its trace in place.
 
+  Only decision points with more than one enabled agent take a
+  snapshot.  Backtrack sets are subsets of the enabled set, so a node
+  with one enabled agent has no branch left once its first run is done
+  and is never restored.  Each run also reports how much of its trace
+  it shares with the previous one (``ExploredRun.prefix``) and the
+  trace positions later runs may restore to (``resume_points``), so a
+  consumer can keep per-prefix state — the checker's analyzer
+  checkpoints — in step with the machine's snapshots.
+
 Two reduction modes share one DFS driver:
 
 * ``"none"`` — plain exhaustive DFS over the scheduler-choice tree; every
@@ -179,11 +188,29 @@ class EngineStats:
 
 @dataclass
 class ExploredRun:
-    """One complete execution produced by :meth:`Engine.explore`."""
+    """One complete execution produced by :meth:`Engine.explore`.
+
+    ``prefix`` is how many leading trace events this run shares with
+    the previous yielded run: the smallest ``trace_len`` over every
+    snapshot restored since that yield, sleep-set-blocked runs
+    included.  Any restore in between truncated the trace to its
+    position, so only the smallest one bounds what survived; the last
+    one alone does not.  It is 0 for the first run and under
+    ``"reexecute"``.
+
+    ``resume_points`` are the sorted, distinct trace positions of the
+    stack nodes that still have unexplored branches after this run: the
+    only places a later run can restore to.  A consumer that keeps
+    derived per-prefix state (the checker's analyzer checkpoints) needs
+    it at these positions and nowhere else.  Empty under
+    ``"reexecute"``.
+    """
 
     index: int
     result: object
     choices: Tuple[int, ...]
+    prefix: int = 0
+    resume_points: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -197,9 +224,10 @@ class _Node:
     done: Set[int] = field(default_factory=set)
     chosen: Optional[int] = None
     pinned: bool = False
-    #: Prefix-sharing restore points (share mode, non-pinned nodes):
-    #: the machine state and the engine's per-run tables as they stood
-    #: when this decision point was first reached.
+    #: Prefix-sharing restore points (share mode, non-pinned nodes with
+    #: more than one enabled agent): the machine state and the engine's
+    #: per-run tables as they stood when this decision point was first
+    #: reached.
     snap: object = None
     tables: object = None
 
@@ -270,6 +298,9 @@ class Engine:
         # Prefix-sharing state: the one retained machine + scheduler.
         self._machine = None
         self._scheduler: Optional[ReplayableScheduler] = None
+        # Smallest restored trace position since the last yield (None:
+        # nothing restored yet).
+        self._prefix: Optional[int] = None
         # Per-execution state.
         self._depth = 0
         self._pending_sleep: Set[int] = set()
@@ -313,10 +344,14 @@ class Engine:
                     branching_max=self.stats.branching_max,
                     nodes=self.stats.nodes,
                 )
+            prefix = self._prefix or 0
+            self._prefix = None
             yield ExploredRun(
                 index=self.stats.schedules - 1,
                 result=result,
                 choices=choices,
+                prefix=prefix,
+                resume_points=self._resume_points(),
             )
 
     # -- one execution ------------------------------------------------------
@@ -373,6 +408,7 @@ class Engine:
             node = self._stack[-1]
             depth = len(self._stack) - 1
             machine.restore(node.snap)
+            self._note_restore(node.snap.trace_len)
             scheduler.truncate(depth)
             self._depth = depth
             self._restore_tables(node.tables)
@@ -385,6 +421,21 @@ class Engine:
         if len(choices) > len(self.stats.deepest_prefix):
             self.stats.deepest_prefix = choices
         return False, result, choices
+
+    def _note_restore(self, trace_len: int) -> None:
+        """Fold a restored trace position into the next run's prefix."""
+        if self._prefix is None or trace_len < self._prefix:
+            self._prefix = trace_len
+
+    def _resume_points(self) -> Tuple[int, ...]:
+        """Trace positions of the stack nodes with branches left."""
+        points = {
+            node.snap.trace_len
+            for node in self._stack[self._fence :]
+            if node.snap is not None
+            and node.backtrack - node.done - node.sleep
+        }
+        return tuple(sorted(points))
 
     def _capture_tables(self) -> Tuple[
         Dict[int, Dict[int, int]],
@@ -471,9 +522,11 @@ class Engine:
             sleep=sleep,
             pinned=pinned,
         )
-        if self._replay == "share" and not pinned:
-            # Pinned (forced-prefix) nodes are never backtracked into,
-            # so only free nodes need restore points.
+        if self._replay == "share" and not pinned and len(enabled) > 1:
+            # Only restore points that can be restored to: pinned
+            # (forced-prefix) nodes are never backtracked into, and a
+            # node with one enabled agent has no branch left after its
+            # first run, because backtrack sets are subsets of enabled.
             node.snap = machine.snapshot()
             node.tables = self._capture_tables()
         return node

@@ -27,13 +27,14 @@ length.  Two entry points feed it:
   plain traces or event iterables in any mix, then
   :meth:`~StreamingAnalyzer.finish`.  Sources that are not columnar are
   encoded with :func:`~repro.trace.columnar.chunks_from_events` on the
-  way in.
+  way in.  Checkpoints let a caller rewind to an earlier trace position
+  and feed a different suffix (the model checker does so per schedule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bitgraph import BitsetGraphDomain
 from repro.core.lattice import (
@@ -179,6 +180,30 @@ class _ChunkStore:
         return self.value.to_bytes(self.size, "little")
 
 
+#: Why :meth:`StreamingAnalyzer.checkpoint` refuses a ``node_sink``.
+_SINK_CHECKPOINT = (
+    "checkpoints need node_sink=None: sealed nodes drop their writes, "
+    "which a rollback cannot restore"
+)
+
+
+class AnalyzerCheckpoint:
+    """A restore point of one :class:`StreamingAnalyzer`.
+
+    Opaque apart from ``events``, the trace position it was taken at.
+    Only the analyzer that took it accepts it, and only while it is
+    live (see :meth:`StreamingAnalyzer.rollback`).
+    """
+
+    __slots__ = ("_owner", "_depth", "events", "_state")
+
+    def __init__(self, owner, depth: int, events: int, state: tuple) -> None:
+        self._owner = owner
+        self._depth = depth
+        self.events = events
+        self._state = state
+
+
 class StreamingAnalyzer:
     """Resumable persist-ordering analysis over an event stream.
 
@@ -204,6 +229,18 @@ class StreamingAnalyzer:
     by the pending frontier — the in-memory graph keeps its structure
     (deps, levels, critical path) but no longer supports recovery
     imaging.  Ignored on the level domain, which has no nodes.
+
+    Checkpoints: :meth:`checkpoint` captures the state after the events
+    fed so far (``feed(..., checkpoint_at=...)`` takes them mid-feed,
+    in the same engine pass) and :meth:`rollback` returns to one, as if
+    nothing had been fed since.  A checkpoint can be rolled back to any
+    number of times; rolling back discards the checkpoints taken after
+    it and reopens a finished analyzer.  The graph :meth:`finish`
+    returned is the live domain and is only valid until the next
+    rollback.  A rollback bumps ``GraphDomain._version`` and never
+    restores it, so every cache stamped with the version (recovery's
+    write index) misses even when the re-fed suffix has as many persists
+    as the discarded one.  Checkpoints are refused with a ``node_sink``.
     """
 
     def __init__(
@@ -238,6 +275,7 @@ class StreamingAnalyzer:
         self._barriers = 0
         self._strands = 0
         self._finished = False
+        self._checkpoints: List[AnalyzerCheckpoint] = []
 
     @property
     def events_fed(self) -> int:
@@ -252,7 +290,9 @@ class StreamingAnalyzer:
 
     # -- feeding ------------------------------------------------------------
 
-    def feed(self, source) -> "StreamingAnalyzer":
+    def feed(
+        self, source, checkpoint_at: Sequence[int] = ()
+    ) -> "StreamingAnalyzer":
         """Consume more of the trace; returns self for chaining.
 
         ``source`` may be a :class:`ColumnarChunk`, a
@@ -262,18 +302,140 @@ class StreamingAnalyzer:
         as it is consumed, and raises :class:`~repro.errors.TraceError`
         unless its sequence numbers continue densely from
         :attr:`events_fed`.
+
+        ``checkpoint_at`` lists strictly ascending trace positions (event
+        counts, at least :attr:`events_fed`) at which to take a
+        :meth:`checkpoint` on the way; they land on :attr:`checkpoints`.
+        They are taken inside the engine's pass over each chunk, so a
+        checkpointed feed costs one pass, not one per checkpoint.
         """
         if self._finished:
             raise AnalysisError("cannot feed a finished StreamingAnalyzer")
+        marks = list(checkpoint_at)
+        if marks:
+            if self._node_sink is not None:
+                raise AnalysisError(_SINK_CHECKPOINT)
+            if marks[0] < self._events or any(
+                left >= right for left, right in zip(marks, marks[1:])
+            ):
+                raise AnalysisError(
+                    f"checkpoint positions must ascend strictly from "
+                    f"{self._events}, got {marks}"
+                )
         if isinstance(source, ColumnarChunk):
             chunks = (source,)
         elif isinstance(source, ColumnarTrace):
             chunks = source.chunks()
         else:
             chunks = chunks_from_events(source, base_seq=self._events)
+        k = 0
+        if marks and marks[0] == self._events:
+            self.checkpoint()
+            k = 1
         for chunk in chunks:
-            self._feed_chunk(chunk)
+            fed = self._events
+            end = fed + len(chunk)
+            stops = []
+            while k < len(marks) and marks[k] <= end:
+                stops.append(marks[k] - fed)
+                k += 1
+            self._feed_chunk(chunk, stops)
+        if k < len(marks):
+            raise AnalysisError(
+                f"checkpoint position {marks[k]} lies beyond the "
+                f"{self._events} events fed"
+            )
         return self
+
+    # -- checkpoints ----------------------------------------------------------
+
+    @property
+    def checkpoints(self) -> Tuple[AnalyzerCheckpoint, ...]:
+        """The live checkpoints, oldest first: every one taken and not
+        discarded by a :meth:`rollback` to an earlier one."""
+        return tuple(self._checkpoints)
+
+    def checkpoint(self) -> AnalyzerCheckpoint:
+        """Capture the analysis state after the events fed so far.
+
+        The state is the dependence frontier (per-block values, pending
+        persists, counters), the model's per-thread state
+        (:meth:`PersistencyModel.capture`) and the domain's registry
+        (:meth:`DependencyDomain.checkpoint`).  Rejected with a
+        ``node_sink``: sealed nodes have dropped their writes, and a
+        rollback could not give them back.
+        """
+        if self._node_sink is not None:
+            raise AnalysisError(_SINK_CHECKPOINT)
+        if self._finished:
+            raise AnalysisError(
+                "cannot checkpoint a finished StreamingAnalyzer"
+            )
+        pending = self._pending
+        # Only pending persists can absorb later writes, and only when
+        # stores coalesce at all.
+        open_tokens = pending.values() if self.config.coalescing else ()
+        checkpoint = AnalyzerCheckpoint(
+            self,
+            len(self._checkpoints),
+            self._events,
+            (
+                self._persist_stores,
+                self._coalesced,
+                self._barriers,
+                self._strands,
+                dict(self._write_dep),
+                dict(self._read_dep),
+                dict(pending),
+                dict(self._block_writes),
+                self.model.capture(),
+                self.domain.checkpoint(open_tokens),
+            ),
+        )
+        self._checkpoints.append(checkpoint)
+        return checkpoint
+
+    def rollback(self, checkpoint: AnalyzerCheckpoint) -> None:
+        """Return to ``checkpoint`` as if nothing had been fed since.
+
+        Checkpoints taken after it are discarded; it stays live, so it
+        can be rolled back to again.  Rolling back also reopens a
+        finished analyzer.  The graph an earlier :meth:`finish` returned
+        is the live domain: it is only valid until this call.  On DAG
+        domains the graph's ``_version`` is bumped, never restored, so
+        caches stamped with it (recovery's write index) go stale.
+        """
+        stack = self._checkpoints
+        if checkpoint._owner is not self:
+            raise AnalysisError(
+                "checkpoint belongs to a different StreamingAnalyzer"
+            )
+        depth = checkpoint._depth
+        if depth >= len(stack) or stack[depth] is not checkpoint:
+            raise AnalysisError(
+                "checkpoint was discarded by a rollback to an earlier one"
+            )
+        del stack[depth + 1 :]
+        (
+            self._persist_stores,
+            self._coalesced,
+            self._barriers,
+            self._strands,
+            write_dep,
+            read_dep,
+            pending,
+            block_writes,
+            model_state,
+            domain_state,
+        ) = checkpoint._state
+        self._events = checkpoint.events
+        self._write_dep = dict(write_dep)
+        self._read_dep = dict(read_dep)
+        self._pending = dict(pending)
+        self._block_writes = dict(block_writes)
+        self.model.restore(model_state)
+        self.domain.rollback(domain_state)
+        self._finished = False
 
     def finish(self) -> AnalysisResult:
         """Seal remaining state and return the analysis result."""
@@ -301,9 +463,16 @@ class StreamingAnalyzer:
 
     # -- engine ---------------------------------------------------------------
 
-    def _feed_chunk(self, chunk: ColumnarChunk) -> None:
+    def _feed_chunk(
+        self, chunk: ColumnarChunk, stops: Sequence[int] = ()
+    ) -> None:
         """The propagation engine: table dispatch on kind codes plus
         batched same-block coalescing runs.
+
+        ``stops`` are ascending local offsets in ``1..len(chunk)`` after
+        which to take a :meth:`checkpoint`: the pass runs segment by
+        segment, and no run crosses a stop, so the state at a stop is
+        exactly the state after the events before it.
 
         A *run* is a maximal sequence of consecutive plain persistent
         STOREs from one thread into one tracking block and one atomic
@@ -320,6 +489,7 @@ class StreamingAnalyzer:
         n = len(chunk)
         if not n:
             return
+        events = self._events
         model = self.model
         domain = self.domain
         config = self.config
@@ -379,7 +549,8 @@ class StreamingAnalyzer:
         # thread / tracking block / persist block; group equality is
         # transitive over adjacent pairs, so ``run_end[head]`` lands
         # exactly where the scalar forward scan would stop.
-        run_end = None
+        # Run eligibility is only read when runs are batched.
+        run_ok = run_end = None
         if HAVE_NUMPY:
             cols = chunk.columns()
             addrs_np = cols[2]
@@ -387,194 +558,216 @@ class StreamingAnalyzer:
             pb_np = addrs_np >> pshift
             tb = tb_np.tolist()
             pb = pb_np.tolist()
-            run_ok_np = (cols[0] == CODE_STORE) & (
-                (cols[5] & FLAG_PERSISTENT) != 0
-            )
-            if infos:
-                run_ok_np[list(infos)] = False
-            run_ok = run_ok_np.tolist()
-            if batch_runs and n > 1:
-                same = (
-                    run_ok_np[1:]
-                    & run_ok_np[:-1]
-                    & (cols[1][1:] == cols[1][:-1])
-                    & (tb_np[1:] == tb_np[:-1])
-                    & (pb_np[1:] == pb_np[:-1])
+            if batch_runs:
+                run_ok_np = (cols[0] == CODE_STORE) & (
+                    (cols[5] & FLAG_PERSISTENT) != 0
                 )
-                group = _np.zeros(n, dtype=_np.int64)
-                _np.cumsum(~same, out=group[1:])
-                bounds = _np.append(_np.flatnonzero(~same) + 1, n)
-                run_end = bounds[group].tolist()
+                if infos:
+                    run_ok_np[list(infos)] = False
+                run_ok = run_ok_np.tolist()
+                if n > 1:
+                    same = (
+                        run_ok_np[1:]
+                        & run_ok_np[:-1]
+                        & (cols[1][1:] == cols[1][:-1])
+                        & (tb_np[1:] == tb_np[:-1])
+                        & (pb_np[1:] == pb_np[:-1])
+                    )
+                    if stops:
+                        # A run must not cross a checkpoint.
+                        same[[stop - 1 for stop in stops if stop < n]] = False
+                    group = _np.zeros(n, dtype=_np.int64)
+                    _np.cumsum(~same, out=group[1:])
+                    bounds = _np.append(_np.flatnonzero(~same) + 1, n)
+                    run_end = bounds[group].tolist()
         else:
             tb = [addr >> tshift for addr in addrs]
             pb = [addr >> pshift for addr in addrs]
-            run_ok = [
-                kinds[i] == CODE_STORE
-                and flags[i] & FLAG_PERSISTENT
-                and i not in infos
-                for i in range(n)
-            ]
+            if batch_runs:
+                run_ok = [
+                    kinds[i] == CODE_STORE
+                    and flags[i] & FLAG_PERSISTENT
+                    and i not in infos
+                    for i in range(n)
+                ]
 
         i = 0
-        while i < n:
-            code = kinds[i]
-            if code == CODE_STORE or code == CODE_LOAD or code == CODE_RMW:
-                thread = threads[i]
-                info = info_get(i, "") if infos else ""
-                if code == CODE_RMW or info == "rmw-fail":
-                    on_sfence(thread)
-                persistent = flags[i] & FLAG_PERSISTENT
-                tracked = (
-                    (persistent or track_volatile) and info != "sb-forward"
-                )
-                observed = thread_in(thread)
-                tblock = tb[i]
-                store_like = code != CODE_LOAD
-                if tracked:
-                    last_write = write_dep.get(tblock)
-                    if last_write is not None:
-                        observed = join(observed, last_write)
-                    if store_like and detect_lbs:
-                        reads = read_dep.get(tblock)
-                        if reads is not None:
-                            observed = join(observed, reads)
+        segments = [(stop, True) for stop in stops]
+        if not stops or stops[-1] < n:
+            segments.append((n, False))
+        for end, mark in segments:
+            while i < end:
+                code = kinds[i]
+                if code == CODE_STORE or code == CODE_LOAD or code == CODE_RMW:
+                    thread = threads[i]
+                    info = info_get(i, "") if infos else ""
+                    if code == CODE_RMW or info == "rmw-fail":
+                        on_sfence(thread)
+                    persistent = flags[i] & FLAG_PERSISTENT
+                    tracked = (
+                        (persistent or track_volatile) and info != "sb-forward"
+                    )
+                    observed = thread_in(thread)
+                    tblock = tb[i]
+                    store_like = code != CODE_LOAD
+                    if tracked:
+                        last_write = write_dep.get(tblock)
+                        if last_write is not None:
+                            observed = join(observed, last_write)
+                        if store_like and detect_lbs:
+                            reads = read_dep.get(tblock)
+                            if reads is not None:
+                                observed = join(observed, reads)
 
-                value_after = observed
-                token = None
-                if store_like and persistent:
-                    persist_stores += 1
-                    pblock = pb[i]
-                    token = pending.get(pblock)
-                    if (
-                        coalescing
-                        and token is not None
-                        and leq(observed, token)
-                    ):
-                        if needs_payload:
-                            do_coalesce(
-                                token,
+                    value_after = observed
+                    token = None
+                    if store_like and persistent:
+                        persist_stores += 1
+                        pblock = pb[i]
+                        token = pending.get(pblock)
+                        if (
+                            coalescing
+                            and token is not None
+                            and leq(observed, token)
+                        ):
+                            if needs_payload:
+                                do_coalesce(
+                                    token,
+                                    _ChunkStore(
+                                        base_seq + i,
+                                        thread,
+                                        addrs[i],
+                                        sizes[i],
+                                        values[i],
+                                    ),
+                                )
+                            coalesced += 1
+                        else:
+                            deps = observed
+                            if token is not None:
+                                deps = join(deps, value_of(token))
+                                if sink is not None:
+                                    self._seal(token)
+                            token = do_persist(
+                                deps,
                                 _ChunkStore(
                                     base_seq + i,
                                     thread,
                                     addrs[i],
                                     sizes[i],
                                     values[i],
-                                ),
+                                )
+                                if needs_payload
+                                else _NO_PAYLOAD,
                             )
-                        coalesced += 1
+                            pending[pblock] = token
+                            block_writes[pblock] = (
+                                block_writes.get(pblock, 0) + 1
+                            )
+                        value_after = value_of(token)
+
+                    if tracked:
+                        if store_like:
+                            write_dep[tblock] = value_after
+                            read_dep.pop(tblock, None)
+                        else:
+                            reads = read_dep.get(tblock)
+                            read_dep[tblock] = (
+                                value_after
+                                if reads is None
+                                else join(reads, value_after)
+                            )
+                    absorb(thread, value_after)
+                    i += 1
+
+                    # Same-block run batching (see docstring for soundness).
+                    if batch_runs and token is not None and run_ok[i - 1]:
+                        start = i
+                        if run_end is not None:
+                            i = run_end[start - 1]
+                        else:
+                            run_tb = tblock
+                            run_pb = pblock
+                            while (
+                                i < end
+                                and run_ok[i]
+                                and threads[i] == thread
+                                and pb[i] == run_pb
+                                and tb[i] == run_tb
+                            ):
+                                i += 1
+                        rest = i - start
+                        if rest:
+                            persist_stores += rest
+                            coalesced += rest
+                            if needs_payload:
+                                do_coalesce_run(
+                                    token,
+                                    [
+                                        (
+                                            addrs[k],
+                                            values[k].to_bytes(
+                                                sizes[k], "little"
+                                            ),
+                                        )
+                                        for k in range(start, i)
+                                    ],
+                                )
+                    continue
+                if code == CODE_PERSIST_BARRIER:
+                    barriers += 1
+                    on_barrier(threads[i])
+                    i += 1
+                    continue
+                if (
+                    code == CODE_CLFLUSH
+                    or code == CODE_CLFLUSH_OPT
+                    or code == CODE_CLWB
+                ):
+                    addr = addrs[i]
+                    first = addr >> tshift
+                    last = (addr + sizes[i] - 1) >> tshift
+                    deps = None
+                    if last - first >= len(write_dep):
+                        for block, chain in write_dep.items():
+                            if first <= block <= last:
+                                deps = (
+                                    chain if deps is None else join(deps, chain)
+                                )
                     else:
-                        deps = observed
-                        if token is not None:
-                            deps = join(deps, value_of(token))
-                            if sink is not None:
-                                self._seal(token)
-                        token = do_persist(
-                            deps,
-                            _ChunkStore(
-                                base_seq + i,
-                                thread,
-                                addrs[i],
-                                sizes[i],
-                                values[i],
-                            )
-                            if needs_payload
-                            else _NO_PAYLOAD,
+                        for block in range(first, last + 1):
+                            chain = write_dep.get(block)
+                            if chain is not None:
+                                deps = (
+                                    chain if deps is None else join(deps, chain)
+                                )
+                    if deps is not None:
+                        on_flush(
+                            threads[i], deps, synchronous=code == CODE_CLFLUSH
                         )
-                        pending[pblock] = token
-                        block_writes[pblock] = block_writes.get(pblock, 0) + 1
-                    value_after = value_of(token)
+                    i += 1
+                    continue
+                if code == CODE_SFENCE or code == CODE_FENCE:
+                    on_sfence(threads[i])
+                    i += 1
+                    continue
+                if code == CODE_NEW_STRAND:
+                    strands += 1
+                    on_new_strand(threads[i])
+                    i += 1
+                    continue
+                # PERSIST_SYNC / MALLOC / FREE / THREAD_* / MARK: no ordering
+                # effect on the analyzers.
+                i += 1
+            if mark:
+                self._events = events + end
+                self._persist_stores = persist_stores
+                self._coalesced = coalesced
+                self._barriers = barriers
+                self._strands = strands
+                self.checkpoint()
 
-                if tracked:
-                    if store_like:
-                        write_dep[tblock] = value_after
-                        read_dep.pop(tblock, None)
-                    else:
-                        reads = read_dep.get(tblock)
-                        read_dep[tblock] = (
-                            value_after
-                            if reads is None
-                            else join(reads, value_after)
-                        )
-                absorb(thread, value_after)
-                i += 1
-
-                # Same-block run batching (see docstring for soundness).
-                if batch_runs and token is not None and run_ok[i - 1]:
-                    start = i
-                    if run_end is not None:
-                        i = run_end[start - 1]
-                    else:
-                        run_tb = tblock
-                        run_pb = pblock
-                        while (
-                            i < n
-                            and run_ok[i]
-                            and threads[i] == thread
-                            and pb[i] == run_pb
-                            and tb[i] == run_tb
-                        ):
-                            i += 1
-                    rest = i - start
-                    if rest:
-                        persist_stores += rest
-                        coalesced += rest
-                        if needs_payload:
-                            do_coalesce_run(
-                                token,
-                                [
-                                    (
-                                        addrs[k],
-                                        values[k].to_bytes(
-                                            sizes[k], "little"
-                                        ),
-                                    )
-                                    for k in range(start, i)
-                                ],
-                            )
-                continue
-            if code == CODE_PERSIST_BARRIER:
-                barriers += 1
-                on_barrier(threads[i])
-                i += 1
-                continue
-            if (
-                code == CODE_CLFLUSH
-                or code == CODE_CLFLUSH_OPT
-                or code == CODE_CLWB
-            ):
-                addr = addrs[i]
-                first = addr >> tshift
-                last = (addr + sizes[i] - 1) >> tshift
-                deps = None
-                if last - first >= len(write_dep):
-                    for block, chain in write_dep.items():
-                        if first <= block <= last:
-                            deps = chain if deps is None else join(deps, chain)
-                else:
-                    for block in range(first, last + 1):
-                        chain = write_dep.get(block)
-                        if chain is not None:
-                            deps = chain if deps is None else join(deps, chain)
-                if deps is not None:
-                    on_flush(
-                        threads[i], deps, synchronous=code == CODE_CLFLUSH
-                    )
-                i += 1
-                continue
-            if code == CODE_SFENCE or code == CODE_FENCE:
-                on_sfence(threads[i])
-                i += 1
-                continue
-            if code == CODE_NEW_STRAND:
-                strands += 1
-                on_new_strand(threads[i])
-                i += 1
-                continue
-            # PERSIST_SYNC / MALLOC / FREE / THREAD_* / MARK: no ordering
-            # effect on the analyzers.
-            i += 1
-
-        self._events += n
+        self._events = events + n
         self._persist_stores = persist_stores
         self._coalesced = coalesced
         self._barriers = barriers

@@ -35,7 +35,7 @@ property tests compare against.  Recovery's mask fast paths key off the
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.core.lattice import GraphDomain, PersistNode
 from repro.trace.events import MemoryEvent
@@ -144,6 +144,20 @@ class BitsetGraphDomain(GraphDomain):
         # Incremental levels supersede the recomputation cache; callers
         # must not mutate the result (GraphDomain.levels copies).
         return self._levels
+
+    def checkpoint(self, open_tokens: Iterable[int]):
+        base = super().checkpoint(open_tokens)
+        return base, dict(self._hist), self._max_level
+
+    def rollback(self, state) -> None:
+        base, hist, max_level = state
+        count = base[0]
+        del self._anc[count:]
+        del self.dep_masks[count:]
+        del self._levels[count:]
+        self._hist = dict(hist)
+        self._max_level = max_level
+        super().rollback(base)
 
     def value_of(self, token: int) -> BitsetValue:
         return (1 << token, self._anc[token])

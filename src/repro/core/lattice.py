@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.trace.events import MemoryEvent
 
@@ -98,6 +98,20 @@ class DependencyDomain(abc.ABC):
         workload's achievable persist parallelism over time.
         """
 
+    def checkpoint(self, open_tokens: Iterable[int]):
+        """Capture the registry so :meth:`rollback` can return to it.
+
+        ``open_tokens`` names the persists that later stores may still
+        coalesce into (the analyzer's pending persists); every other
+        existing persist is immutable from here on.  The returned state
+        is opaque and may be rolled back to more than once.
+        """
+        raise NotImplementedError
+
+    def rollback(self, state) -> None:
+        """Forget every persist and coalesced write since ``state``."""
+        raise NotImplementedError
+
 
 class LevelDomain(DependencyDomain):
     """Scalar critical-path domain (the paper's measurement)."""
@@ -146,6 +160,13 @@ class LevelDomain(DependencyDomain):
     def level_histogram(self) -> Dict[int, int]:
         return dict(self._level_counts)
 
+    def checkpoint(self, open_tokens: Iterable[int]):
+        return (self._count, self._max_level, dict(self._level_counts))
+
+    def rollback(self, state) -> None:
+        self._count, self._max_level, level_counts = state
+        self._level_counts = dict(level_counts)
+
 
 @dataclass
 class PersistNode:
@@ -183,9 +204,11 @@ class GraphDomain(DependencyDomain):
     def __init__(self) -> None:
         self.nodes: List[PersistNode] = []
         self._closure: Dict[int, FrozenSet[int]] = {}
-        #: Bumped on every mutation (persist *and* coalesce) so derived
-        #: structures — the level caches below, recovery's address index —
-        #: can cheaply detect staleness.
+        #: Bumped on every mutation (persist, coalesce *and* rollback) so
+        #: derived structures — the level caches below, recovery's address
+        #: index — can cheaply detect staleness.  It only ever grows: a
+        #: rollback that restored it would let a re-fed suffix with the
+        #: same persist count reuse a stale cache.
         self._version = 0
         self._levels_cache: Optional[List[int]] = None
         self._hist_cache: Optional[Dict[int, int]] = None
@@ -297,6 +320,27 @@ class GraphDomain(DependencyDomain):
                 histogram[level] = histogram.get(level, 0) + 1
             self._hist_cache = histogram
         return dict(self._hist_cache)
+
+    def checkpoint(self, open_tokens: Iterable[int]):
+        nodes = self.nodes
+        return (
+            len(nodes),
+            tuple((token, len(nodes[token].writes)) for token in open_tokens),
+        )
+
+    def rollback(self, state) -> None:
+        count, open_writes = state
+        nodes = self.nodes
+        closure = self._closure
+        # Truncate, never clear: here the closures are the domain's data,
+        # and in the bitset subclass a memo surviving nodes still use.
+        for pid in range(count, len(nodes)):
+            closure.pop(pid, None)
+        del nodes[count:]
+        # Surviving open persists may have absorbed coalesced writes.
+        for token, length in open_writes:
+            del nodes[token].writes[length:]
+        self._invalidate()
 
     def edge_count(self) -> int:
         """Number of frontier (immediate) dependency edges."""

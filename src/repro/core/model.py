@@ -58,6 +58,24 @@ class PersistencyModel(abc.ABC):
         """Bind a dependency domain and clear all per-thread state."""
         self._domain = domain
 
+    def capture(self):
+        """Copy the per-thread state for a later :meth:`restore`.
+
+        Dependency values are immutable, so shallow copies of the
+        per-thread maps suffice.  The result may be restored more than
+        once.  Stateful models must override both methods; the
+        streaming analyzer's checkpoints rely on them.
+        """
+        raise NotImplementedError(
+            f"model {self.name!r} does not support capture/restore"
+        )
+
+    def restore(self, state) -> None:
+        """Return the per-thread state to a :meth:`capture` result."""
+        raise NotImplementedError(
+            f"model {self.name!r} does not support capture/restore"
+        )
+
     @abc.abstractmethod
     def thread_in(self, thread: int):
         """Dependency value every access by ``thread`` is ordered after."""
@@ -105,6 +123,12 @@ class StrictPersistency(PersistencyModel):
         super().reset(domain)
         self._observed: Dict[int, object] = {}
 
+    def capture(self):
+        return dict(self._observed)
+
+    def restore(self, state) -> None:
+        self._observed = dict(state)
+
     def thread_in(self, thread: int):
         return self._observed.get(thread, self._domain.bottom)
 
@@ -133,6 +157,14 @@ class EpochPersistency(PersistencyModel):
         super().reset(domain)
         self._committed: Dict[int, object] = {}
         self._epoch_acc: Dict[int, object] = {}
+
+    def capture(self):
+        return dict(self._committed), dict(self._epoch_acc)
+
+    def restore(self, state) -> None:
+        committed, epoch_acc = state
+        self._committed = dict(committed)
+        self._epoch_acc = dict(epoch_acc)
 
     def thread_in(self, thread: int):
         return self._committed.get(thread, self._domain.bottom)
@@ -219,6 +251,14 @@ class Px86Persistency(PersistencyModel):
         self._committed: Dict[int, object] = {}
         #: Weak-flush deps awaiting the next sfence/mfence/RMW.
         self._pending: Dict[int, object] = {}
+
+    def capture(self):
+        return dict(self._committed), dict(self._pending)
+
+    def restore(self, state) -> None:
+        committed, pending = state
+        self._committed = dict(committed)
+        self._pending = dict(pending)
 
     def thread_in(self, thread: int):
         return self._committed.get(thread, self._domain.bottom)

@@ -95,3 +95,17 @@ def run_of(build):
         return trace, machine
 
     return run
+
+
+def program_of(build):
+    """Adapt a machine factory to the two-phase ``CheckProgram`` shape,
+    so the engine can share prefixes (``replay="share"``)."""
+
+    class Program:
+        def build(self, scheduler):
+            return build(scheduler)
+
+        def finish(self, machine):
+            return machine.trace, machine
+
+    return Program()

@@ -13,10 +13,12 @@ import pytest
 
 from repro.check import Engine, ExplorationLimitError
 from repro.errors import ReproError
+from repro.sim import Machine
 
 from tests.check.helpers import (
     conflicting_factory,
     disjoint_factory,
+    program_of,
     publish_pair_factory,
     run_of,
 )
@@ -129,3 +131,81 @@ class TestForcedPrefix:
                 seen.add(explored.choices)
                 total += 1
         assert total == math.comb(6, 3)
+
+
+def common_prefix(left, right):
+    """Length of the longest common event prefix of two traces."""
+    count = 0
+    for a, b in zip(left, right):
+        if a != b:
+            break
+        count += 1
+    return count
+
+
+class TestPrefixSharing:
+    """The ``prefix``/``resume_points`` contract of shared replay."""
+
+    def shared_runs(self, build):
+        """Explore under sharing; keep a frozen copy of every trace."""
+        engine = Engine(program_of(build), replay="share")
+        runs = []
+        for explored in engine.explore():
+            runs.append((explored, list(explored.result[0])))
+        return engine, runs
+
+    @pytest.mark.parametrize(
+        "build", [conflicting_factory(2), publish_pair_factory(False)]
+    )
+    def test_prefix_is_a_resume_point_of_the_previous_run(self, build):
+        engine, runs = self.shared_runs(build)
+        assert len(runs) > 1
+        assert runs[0][0].prefix == 0
+        for (before, old), (after, new) in zip(runs, runs[1:]):
+            points = before.resume_points
+            assert list(points) == sorted(set(points))
+            assert all(0 <= point <= len(old) for point in points)
+            # The next run rewinds to a position the previous run
+            # reported, and shares at least that much of its trace.
+            assert after.prefix in points
+            assert after.prefix <= common_prefix(old, new)
+        assert runs[-1][0].resume_points == ()
+
+    def test_reexecute_reports_no_sharing(self):
+        engine = Engine(run_of(conflicting_factory(2)), replay="reexecute")
+        runs = list(engine.explore())
+        assert len(runs) > 1
+        assert all(run.prefix == 0 for run in runs)
+        assert all(run.resume_points == () for run in runs)
+
+    def test_prefix_is_the_shallowest_restore_since_the_last_yield(self):
+        """Restores between two yields (sleep-set-blocked runs) can sit
+        at different depths; everything past the shallowest one is
+        gone, so that one is the shared prefix."""
+        engine = Engine(program_of(conflicting_factory(2)), replay="share")
+        runs = engine.explore()
+        next(runs)
+        engine._note_restore(1)  # a blocked run rewound to position 1
+        second = next(runs)
+        assert second.prefix == 1
+        third = next(runs)
+        assert third.prefix > 1
+
+    def test_snapshots_only_at_branching_nodes(self, monkeypatch):
+        counts = {"snapshots": 0, "branching": 0}
+        snapshot = Machine.snapshot
+        make_node = Engine._make_node
+
+        def counting_snapshot(machine):
+            counts["snapshots"] += 1
+            return snapshot(machine)
+
+        def counting_make_node(engine, machine, runnable, pinned):
+            counts["branching"] += len(runnable) > 1
+            return make_node(engine, machine, runnable, pinned)
+
+        monkeypatch.setattr(Machine, "snapshot", counting_snapshot)
+        monkeypatch.setattr(Engine, "_make_node", counting_make_node)
+        engine, _ = self.shared_runs(conflicting_factory(2))
+        assert counts["snapshots"] == counts["branching"] > 0
+        assert counts["snapshots"] < engine.stats.nodes

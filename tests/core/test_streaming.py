@@ -9,7 +9,9 @@ and assert every observable result field (and, on graph domains, the
 persist DAG itself) matches ``reference_analyze`` — the one-shot,
 per-event oracle in :mod:`tests.core.reference_analysis` — across all
 models and domains, and on both the numpy and the stdlib run-boundary
-precompute.
+precompute.  Checkpoint/rollback is held to the same oracle: rewinding
+and re-feeding another suffix must be indistinguishable from analyzing
+the new trace from scratch.
 """
 
 import pytest
@@ -17,8 +19,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig, StreamingAnalyzer, analysis
+from repro.core.analysis import analyze_graph
+from repro.core.bitgraph import BitsetGraphDomain
 from repro.core.model import MODELS
+from repro.core.recovery import cut_content_key, image_at_cut
 from repro.errors import AnalysisError, TraceError
+from repro.memory import NvramImage
 from repro.trace import ColumnarTrace, EventKind, MemoryEvent, Trace
 from repro.trace.columnar import HAVE_NUMPY
 
@@ -67,6 +73,19 @@ def assert_dags_equal(reference, streamed, context=""):
         for node in streamed.graph.nodes
     ]
     assert ref == got, f"persist DAG diverged {context}"
+    assert reference.graph.levels() == streamed.graph.levels(), (
+        f"levels diverged {context}"
+    )
+    if isinstance(reference.graph, BitsetGraphDomain):
+        count = len(reference.graph.nodes)
+        assert reference.graph.dep_masks == streamed.graph.dep_masks
+        ancestors = [
+            [result.graph.ancestor_mask(pid) for pid in range(count)]
+            for result in (reference, streamed)
+        ]
+        assert ancestors[0] == ancestors[1], (
+            f"ancestor masks diverged {context}"
+        )
 
 
 # -- random-trace strategy ---------------------------------------------------
@@ -385,3 +404,240 @@ class TestStreamingApi:
             StreamingAnalyzer("epoch").feed(events)
         with pytest.raises(TraceError, match="seq 0 out of order; expected 2"):
             StreamingAnalyzer("epoch").feed(events[:2]).feed(events[:2])
+
+
+# -- checkpoint / rollback ---------------------------------------------------
+
+
+def positions(offsets, low, high):
+    """Map raw draws onto distinct ascending positions in ``[low, high]``."""
+    if high < low:
+        return []
+    return sorted({low + offset % (high - low + 1) for offset in offsets})
+
+
+def assert_matches_reference(result, script, model, config, domain, context):
+    reference = reference_analyze(
+        trace_from_script(script, info_every=7), model, config, domain
+    )
+    assert_results_equal(reference, result, context)
+    if domain != "level":
+        assert_dags_equal(reference, result, context)
+
+
+#: One rollback step: which live checkpoint (index mod count), the
+#: alternative suffix, checkpoint offsets inside it, and whether to roll
+#: back to the same checkpoint a second time (re-feeding the suffix
+#: reversed).
+_rollback_step = st.tuples(
+    st.integers(0, 63),
+    _script,
+    st.lists(st.integers(0, 63), max_size=3),
+    st.booleans(),
+)
+
+#: A same-line store run with checkpoints inside it, rolled back into the
+#: run's middle and re-fed with a different tail.
+_RUN_SCRIPT = [(0, S, slot % 8, True, False) for slot in range(12)] + [
+    (1, S, 2, True, False),
+    (0, B, 0),
+]
+_RUN_PLAN = [
+    (1, [(0, S, 3, True, False)] * 5 + [(1, L, 3, True, False)], [2], True),
+    (0, [(2, S, 7, True, False)] * 4, [1, 3], False),
+]
+
+
+@pytest.mark.usefixtures("precompute")
+class TestCheckpointRollback:
+    @settings(max_examples=30, deadline=None, **_FIXTURE_OK)
+    @given(
+        script=_script,
+        marks=st.lists(st.integers(0, 63), max_size=4),
+        plan=st.lists(_rollback_step, min_size=1, max_size=3),
+        chunk_events=st.sampled_from([1, 3, 17, 64]),
+        coalescing=st.booleans(),
+        granularity=st.sampled_from([8, 64]),
+    )
+    @example(
+        script=_RUN_SCRIPT,
+        marks=[4, 9],
+        plan=_RUN_PLAN,
+        chunk_events=64,
+        coalescing=True,
+        granularity=64,
+    )
+    @example(
+        script=_RUN_SCRIPT,
+        marks=[4, 9],
+        plan=_RUN_PLAN,
+        chunk_events=5,
+        coalescing=False,
+        granularity=8,
+    )
+    def test_rollback_then_refeed_equals_fresh_analysis(
+        self, script, marks, plan, chunk_events, coalescing, granularity
+    ):
+        config = AnalysisConfig(
+            persist_granularity=granularity,
+            tracking_granularity=granularity,
+            coalescing=coalescing,
+        )
+        for model in MODELS:
+            for domain in DOMAINS:
+                self.replay(
+                    script, marks, plan, chunk_events, model, config, domain
+                )
+
+    def replay(self, script, marks, plan, chunk_events, model, config, domain):
+        context = f"({model}/{domain}/coalescing={config.coalescing})"
+        analyzer = StreamingAnalyzer(model, config, domain=domain)
+        analyzer.checkpoint()
+        current = list(script)
+        columnar = ColumnarTrace.from_trace(
+            trace_from_script(current, info_every=7), chunk_events=chunk_events
+        )
+        analyzer.feed(
+            columnar, checkpoint_at=positions(marks, 1, len(current))
+        )
+        assert_matches_reference(
+            analyzer.finish(), current, model, config, domain, context
+        )
+        for choice, suffix, suffix_marks, again in plan:
+            live = analyzer.checkpoints
+            checkpoint = live[choice % len(live)]
+            for tail in (suffix, suffix[::-1])[: 1 + again]:
+                analyzer.rollback(checkpoint)
+                start = checkpoint.events
+                current = current[:start] + list(tail)
+                trace = trace_from_script(current, info_every=7)
+                analyzer.feed(
+                    trace.events[start:],
+                    checkpoint_at=positions(
+                        suffix_marks, start + 1, len(current)
+                    ),
+                )
+                assert_matches_reference(
+                    analyzer.finish(), current, model, config, domain, context
+                )
+
+
+@pytest.mark.parametrize("domain", ["graph", "bitset"])
+class TestRollbackTraps:
+    """One regression per way a rollback can leave stale state behind."""
+
+    def test_same_persist_count_new_writes_refresh_recovery_index(
+        self, domain
+    ):
+        """A re-fed suffix with as many persists as the discarded one
+        (so as many graph mutations) must not hit recovery's write-index
+        cache, which is stamped with ``(len(nodes), _version)``."""
+        prefix = [(0, S, P, 1)]
+        first = build(prefix + [(0, S, P + 8, 2), (1, S, P + 16, 3)])
+        second = build(prefix + [(1, S, P + 24, 4), (0, S, P + 8, 5)])
+        config = AnalysisConfig(coalescing=False)
+        analyzer = StreamingAnalyzer("epoch", config, domain=domain)
+        analyzer.feed(first.events[:1])
+        checkpoint = analyzer.checkpoint()
+        graph = analyzer.feed(first.events[1:]).finish().graph
+        full = (1 << len(graph.nodes)) - 1
+        cut_content_key(graph, full)  # builds and caches the index
+        version = graph._version
+        analyzer.rollback(checkpoint)
+        assert graph._version > version
+        graph = analyzer.feed(second.events[1:]).finish().graph
+        fresh = analyze_graph(second, "epoch", domain=domain).graph
+        assert len(graph.nodes) == len(fresh.nodes) == 3
+        assert cut_content_key(graph, full) == cut_content_key(fresh, full)
+        base = NvramImage(P, 64)
+        assert image_at_cut(graph, full, base).read_bytes(P, 32) == (
+            image_at_cut(fresh, full, base).read_bytes(P, 32)
+        )
+
+    def test_checkpoint_with_node_sink_rejected(self, domain):
+        analyzer = StreamingAnalyzer(
+            "epoch", domain=domain, node_sink=lambda node: None
+        )
+        with pytest.raises(AnalysisError, match="node_sink"):
+            analyzer.checkpoint()
+        with pytest.raises(AnalysisError, match="node_sink"):
+            analyzer.feed(build([(0, S, P, 1)]), checkpoint_at=[1])
+
+    def test_foreign_and_discarded_checkpoints_rejected(self, domain):
+        trace = build([(0, S, P, 1), (0, B), (0, S, P + 8, 2)])
+        analyzer = StreamingAnalyzer("epoch", domain=domain)
+        other = StreamingAnalyzer("epoch", domain=domain)
+        with pytest.raises(AnalysisError, match="different"):
+            analyzer.rollback(other.checkpoint())
+        early = analyzer.checkpoint()
+        analyzer.feed(trace, checkpoint_at=[2])
+        late = analyzer.checkpoints[-1]
+        assert late.events == 2
+        analyzer.rollback(early)
+        with pytest.raises(AnalysisError, match="discarded"):
+            analyzer.rollback(late)
+        assert analyzer.checkpoints == (early,)
+
+    def test_survivor_closures_outlive_rollback(self, domain):
+        """Rollback truncates the closure table; the frozenset domain
+        keeps its data there, so clearing it would break leq/join."""
+        trace = build(
+            [(0, S, P, 1), (0, B), (0, S, P + 8, 2), (0, B), (0, S, P + 16, 3)]
+        )
+        analyzer = StreamingAnalyzer("epoch", domain=domain)
+        analyzer.feed(trace.events[:3])
+        checkpoint = analyzer.checkpoint()
+        analyzer.feed(trace.events[3:]).finish()
+        analyzer.rollback(checkpoint)
+        graph = analyzer.domain
+        assert len(graph.nodes) == 2
+        assert graph.ancestors(1) == frozenset({0})
+        assert graph.leq(graph.value_of(0), 1)
+        assert not graph.leq(graph.value_of(1), 0)
+        joined = graph.join(graph.value_of(0), graph.value_of(1))
+        assert graph.leq(joined, 1)
+        result = analyzer.feed(trace.events[3:]).finish()
+        reference = reference_analyze(trace, "epoch", None, domain)
+        assert_dags_equal(reference, result)
+
+    def test_rollback_trims_coalesced_writes(self, domain):
+        """Coalescing appends to a pending node's writes; rollback must
+        cut them back even though the node itself survives."""
+        config = AnalysisConfig(
+            persist_granularity=64, tracking_granularity=64
+        )
+        coalescing = build([(0, S, P, 1), (0, S, P + 8, 2), (0, S, P + 16, 3)])
+        other = build([(0, S, P, 1), (1, S, P + 256, 4)])
+        analyzer = StreamingAnalyzer("strict", config, domain=domain)
+        analyzer.feed(coalescing, checkpoint_at=[1])
+        result = analyzer.finish()
+        assert len(result.graph.nodes[0].writes) == 3
+        analyzer.rollback(analyzer.checkpoints[0])
+        result = analyzer.feed(other.events[1:]).finish()
+        assert result.graph.nodes[0].writes == [(P, (1).to_bytes(8, "little"))]
+        reference = reference_analyze(other, "strict", config, domain)
+        assert_dags_equal(reference, result)
+
+    def test_rollback_reopens_a_finished_analyzer(self, domain):
+        trace = build([(0, S, P, 1), (0, B), (0, S, P + 8, 2)])
+        analyzer = StreamingAnalyzer("epoch", domain=domain)
+        checkpoint = analyzer.checkpoint()
+        analyzer.feed(trace).finish()
+        with pytest.raises(AnalysisError, match="finished"):
+            analyzer.checkpoint()
+        analyzer.rollback(checkpoint)
+        assert analyzer.events_fed == 0
+        assert_results_equal(
+            reference_analyze(trace, "epoch", None, domain),
+            analyzer.feed(trace).finish(),
+        )
+
+    def test_checkpoint_positions_validated(self, domain):
+        trace = build([(0, S, P, 1), (0, B), (0, S, P + 8, 2)])
+        analyzer = StreamingAnalyzer("epoch", domain=domain)
+        with pytest.raises(AnalysisError, match="ascend"):
+            analyzer.feed(trace, checkpoint_at=[2, 1])
+        with pytest.raises(AnalysisError, match="beyond"):
+            StreamingAnalyzer("epoch", domain=domain).feed(
+                trace, checkpoint_at=[4]
+            )

@@ -46,7 +46,25 @@ def start_daemon(state_dir, workers=2, extra=()):
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
+        # Its own process group, so teardown can reach the pool workers.
+        start_new_session=True,
     )
+
+
+def stop_daemon(process, sock):
+    """Ask the daemon to shut down, then kill whatever is left of its
+    process group — pool workers included, even after a SIGKILL."""
+    if process.poll() is None:
+        try:
+            request(sock, {"op": "shutdown"})
+            process.wait(timeout=30)
+        except (ServeError, OSError, subprocess.TimeoutExpired):
+            pass
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=10)
 
 
 @pytest.fixture
@@ -58,9 +76,7 @@ def daemon(tmp_path):
         wait_for_daemon(sock, timeout=30)
         yield state_dir, sock
     finally:
-        if process.poll() is None:
-            process.kill()
-        process.wait(timeout=10)
+        stop_daemon(process, sock)
 
 
 def test_daemon_end_to_end(daemon):
@@ -144,7 +160,16 @@ def test_kill_dash_nine_then_resume_completes(tmp_path):
     finally:
         first.send_signal(signal.SIGKILL)
         first.wait(timeout=10)
+    # The SIGKILL spares the first daemon's pool workers: reap them
+    # once the test is done, whatever its outcome.
+    try:
+        run_second_daemon(state_dir, sock, job)
+    finally:
+        stop_daemon(first, sock)
 
+
+def run_second_daemon(state_dir, sock, job):
+    """Restart on the same state and let the journaled job finish."""
     journal = json.loads(
         (state_dir / "jobs" / f"{job}.json").read_text()
     )
@@ -162,7 +187,5 @@ def test_kill_dash_nine_then_resume_completes(tmp_path):
         second.wait(timeout=30)
         assert second.returncode == 0
     finally:
-        if second.poll() is None:
-            second.kill()
-            second.wait(timeout=10)
+        stop_daemon(second, sock)
     assert not sock.exists()  # clean shutdown removes the socket
