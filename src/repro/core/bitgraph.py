@@ -90,6 +90,13 @@ class BitsetGraphDomain(GraphDomain):
         self._levels: List[int] = []
         self._hist: Dict[int, int] = {}
         self._max_level = 0
+        #: frontier mask -> (deps frozenset, ancestor mask, level).  Under
+        #: epoch-like models most persists repeat a recent frontier, so
+        #: they share one immutable ``deps`` set and ancestor mask and the
+        #: level loop runs once per distinct frontier.  A level depends on
+        #: the frontier's pids, which a rollback may re-feed, so
+        #: :meth:`rollback` clears the memo.
+        self._frontiers: Dict[int, Tuple[FrozenSet[int], int, int]] = {}
 
     @property
     def bottom(self) -> BitsetValue:
@@ -109,25 +116,32 @@ class BitsetGraphDomain(GraphDomain):
     def persist(self, deps: BitsetValue, event: MemoryEvent) -> int:
         members, ancestors = deps
         frontier = members & ~ancestors
+        shared = self._frontiers.get(frontier)
+        if shared is None:
+            dep_set = frozenset(iter_bits(frontier))
+            levels = self._levels
+            best = 0
+            for dep in dep_set:
+                if levels[dep] > best:
+                    best = levels[dep]
+            # members | ancestors is the frontier's downward closure, so
+            # every persist with this frontier has the same ancestor mask.
+            shared = (dep_set, members | ancestors, best + 1)
+            self._frontiers[frontier] = shared
+        dep_set, anc, level = shared
         pid = len(self.nodes)
-        self._anc.append(members | ancestors)
+        self._anc.append(anc)
         self.dep_masks.append(frontier)
         self.nodes.append(
             PersistNode(
                 pid=pid,
                 thread=event.thread,
                 first_seq=event.seq,
-                deps=frozenset(iter_bits(frontier)),
+                deps=dep_set,
                 writes=[(event.addr, event.data_bytes())],
             )
         )
-        levels = self._levels
-        best = 0
-        for dep in iter_bits(frontier):
-            if levels[dep] > best:
-                best = levels[dep]
-        level = best + 1
-        levels.append(level)
+        self._levels.append(level)
         self._hist[level] = self._hist.get(level, 0) + 1
         if level > self._max_level:
             self._max_level = level
@@ -155,6 +169,7 @@ class BitsetGraphDomain(GraphDomain):
         del self._anc[count:]
         del self.dep_masks[count:]
         del self._levels[count:]
+        self._frontiers.clear()
         self._hist = dict(hist)
         self._max_level = max_level
         super().rollback(base)

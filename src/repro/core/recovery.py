@@ -137,6 +137,10 @@ def minimal_cut(graph: GraphDomain, pid: int) -> FrozenSet[int]:
     """
     if pid < 0 or pid >= len(graph.nodes):
         raise RecoveryError(f"no persist with id {pid}")
+    if _dep_masks(graph) is not None:
+        # Straight from the mask: going through ancestors() would memoise
+        # one frozenset per visited persist, O(n^2) memory over a sweep.
+        return frozenset(iter_bits(graph.ancestor_mask(pid) | 1 << pid))
     return frozenset(graph.ancestors(pid) | {pid})
 
 
@@ -155,7 +159,13 @@ def linear_extension_cut(
     Unlike :func:`sample_cut`, prefix depth is uniform in the number of
     persists, so deep-but-sparse failure states appear with useful
     probability.
+
+    On mask-capable graphs the draw runs on :func:`_extension_index`,
+    which counts down once per distinct frontier instead of once per
+    edge; it consumes ``rng`` identically and returns the same cut.
     """
+    if _dep_masks(graph) is not None:
+        return _grouped_extension_cut(graph, rng)
     nodes = graph.nodes
     remaining_deps = {node.pid: set(node.deps) for node in nodes}
     dependents = {node.pid: [] for node in nodes}
@@ -175,6 +185,70 @@ def linear_extension_cut(
             deps.discard(pid)
             if not deps:
                 ready.append(successor)
+    return frozenset(included)
+
+
+def _extension_index(graph: GraphDomain) -> tuple:
+    """Persists grouped by frontier mask, cached on the graph.
+
+    Returns ``(roots, members, sizes, waiting)``: the frontier-0 persists,
+    each non-root group's persists (ascending pid) and frontier size, and
+    per persist the ids of the groups whose frontier names it (ascending
+    group id).  Stamped ``(len(nodes), _version)`` like
+    :func:`_write_index`, so a later ``persist`` or ``rollback``
+    rebuilds it.
+    """
+    stamp = (len(graph.nodes), graph._version)
+    cached = getattr(graph, "_extension_cache", None)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    groups: Dict[int, List[int]] = {}
+    for pid, mask in enumerate(graph.dep_masks):
+        groups.setdefault(mask, []).append(pid)
+    roots = groups.pop(0, [])
+    members: List[List[int]] = []
+    sizes: List[int] = []
+    waiting: List[List[int]] = [[] for _ in graph.nodes]
+    for group, (mask, pids) in enumerate(groups.items()):
+        members.append(pids)
+        sizes.append(bin(mask).count("1"))
+        for dep in iter_bits(mask):
+            waiting[dep].append(group)
+    index = (roots, members, sizes, waiting)
+    graph._extension_cache = (stamp, index)
+    return index
+
+
+def _grouped_extension_cut(
+    graph: GraphDomain, rng: random.Random
+) -> FrozenSet[int]:
+    """:func:`linear_extension_cut`'s set-path draw over frontier groups.
+
+    Same RNG calls in the same order: one ``randint`` for the depth, one
+    ``randrange`` per step with swap-pop.  A persist's last dependency
+    completes its whole group at once, and the set path would append
+    those persists in ascending pid; when several groups complete in one
+    step their members are merged in ascending pid for the same reason.
+    """
+    roots, members, sizes, waiting = _extension_index(graph)
+    remaining = list(sizes)
+    ready = list(roots)
+    target = rng.randint(0, len(graph.nodes))
+    included: List[int] = []
+    while ready and len(included) < target:
+        index = rng.randrange(len(ready))
+        ready[index], ready[-1] = ready[-1], ready[index]
+        pid = ready.pop()
+        included.append(pid)
+        done = []
+        for group in waiting[pid]:
+            remaining[group] -= 1
+            if not remaining[group]:
+                done.append(group)
+        if len(done) == 1:
+            ready.extend(members[done[0]])
+        elif done:
+            ready.extend(sorted(p for group in done for p in members[group]))
     return frozenset(included)
 
 
