@@ -8,6 +8,7 @@ can inspect actual persistent contents.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -81,6 +82,9 @@ class AddressSpace:
     def __init__(self, regions: Optional[List[Region]] = None) -> None:
         self._regions: List[Region] = []
         self._by_name: Dict[str, Region] = {}
+        #: Region bases and ends in ``_regions`` order, for bisection.
+        self._bases: List[int] = []
+        self._ends: List[int] = []
         for region in regions or []:
             self.add_region(region)
 
@@ -115,6 +119,8 @@ class AddressSpace:
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.base)
         self._by_name[region.name] = region
+        self._bases = [r.base for r in self._regions]
+        self._ends = [r.end for r in self._regions]
 
     def region(self, name: str) -> Region:
         """Look a region up by name."""
@@ -124,7 +130,18 @@ class AddressSpace:
             raise MemoryAccessError(f"no region named {name!r}") from None
 
     def region_of(self, addr: int, size: int = 1) -> Region:
-        """Return the region wholly containing [addr, addr+size)."""
+        """Return the region wholly containing [addr, addr+size).
+
+        Runs on every simulated access (``read``, ``write``,
+        ``is_persistent``), so a mapped range is found by one bisection
+        over the region bases: regions never overlap, so only the last
+        one based at or below ``addr`` can hold it.  The scan below only
+        runs to raise the precise error.
+        """
+        if size > 0:
+            index = bisect_right(self._bases, addr) - 1
+            if index >= 0 and addr + size <= self._ends[index]:
+                return self._regions[index]
         for region in self._regions:
             if region.contains(addr, size):
                 return region

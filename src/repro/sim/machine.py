@@ -14,12 +14,16 @@ import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.memory import AddressSpace, FreeListAllocator
+from repro.memory import AddressSpace, FreeListAllocator, layout
 from repro.sim import ops
 from repro.sim.context import ThreadContext
-from repro.sim.scheduler import RandomScheduler, Scheduler
+from repro.sim.scheduler import _DRAIN_BASE, RandomScheduler, Scheduler
 from repro.trace.events import EventKind, MemoryEvent
 from repro.trace.trace import Trace
+
+
+#: ``addr >> _WORD_SHIFT`` is the aligned machine word holding ``addr``.
+_WORD_SHIFT = layout.WORD_SIZE.bit_length() - 1
 
 
 class ThreadState(enum.Enum):
@@ -31,11 +35,6 @@ class ThreadState(enum.Enum):
     #: Generator exhausted but the TSO store buffer still holds stores.
     DRAINING = "draining"
     FINISHED = "finished"
-
-
-#: Scheduler ids at or above this base denote store-buffer drain agents
-#: (id = _DRAIN_BASE + thread_id); below it, thread execution steps.
-_DRAIN_BASE = 1 << 20
 
 
 class SimThread:
@@ -50,6 +49,9 @@ class SimThread:
         self.pending: Optional[object] = None
         #: Wait request we are blocked on (WAITING state).
         self.wait: Optional[ops.WaitUntil] = None
+        #: WAITING only: ``wait.predicate`` of the value this thread sees
+        #: at ``wait.addr``, re-evaluated when that word is written.
+        self.wait_ready = False
         #: Value returned by the thread body once FINISHED.
         self.result: object = None
         #: TSO store buffer: FIFO of entries, one of
@@ -174,6 +176,13 @@ class Machine:
         self._emit_raw = getattr(self.trace, "append_raw", None)
         self._threads: List[SimThread] = []
         self._steps = 0
+        #: Wake-on-write index: aligned word number -> threads WAITING on
+        #: that word.  A predicate is pure in the value it observes, so a
+        #: waiter's ``wait_ready`` only changes when its word is written.
+        self._watch: Dict[int, List[SimThread]] = {}
+        #: Runnable agent ids in scheduler order (see :meth:`_collect_runnable`),
+        #: or None after a state transition that may have changed it.
+        self._runnable: Optional[List[int]] = None
         #: Write-undo journal: (addr, previous bytes) per memory write,
         #: in execution order.  None until :meth:`enable_snapshots`.
         self._journal: Optional[list] = None
@@ -213,6 +222,7 @@ class Machine:
         thread.args = args
         thread.ctx = ctx
         self._threads.append(thread)
+        self._runnable = None
         return thread
 
     # -- execution --------------------------------------------------------------
@@ -228,10 +238,10 @@ class Machine:
         fast path: after each scheduling decision, the chosen agent keeps
         executing — up to the quantum — for as long as its next step
         provably cannot conflict with any other agent's pending step
-        (footprint check via :mod:`repro.sim.introspect`).  Runnable-set
-        construction and scheduler picks then amortise over the quantum
-        instead of costing O(threads) per memory operation, which is what
-        makes thousand-lane GPU-style workloads simulable.  Every
+        (footprint check via :mod:`repro.sim.introspect`).  Scheduler
+        picks then amortise over the quantum instead of costing one
+        decision per memory operation, which is what makes thousand-lane
+        GPU-style workloads simulable.  Every
         interleaving produced is still a legal execution; the conflict
         check additionally guarantees the trace is equivalent (up to
         commuting independent steps) to one the fine-grained schedule
@@ -247,8 +257,12 @@ class Machine:
                 f"bulk_quantum must be >= 1, got {bulk_quantum}"
             )
         bulk = bulk_quantum is not None and bulk_quantum > 1
+        # Setup code may have written memory directly since the last run.
+        self._rewatch()
         while True:
-            runnable = self._runnable_ids()
+            runnable = self._runnable
+            if runnable is None:
+                runnable = self._runnable = self._collect_runnable()
             if not runnable:
                 unfinished = [
                     t for t in self._threads if t.state is not ThreadState.FINISHED
@@ -280,8 +294,7 @@ class Machine:
         if thread.state in (ThreadState.NEW, ThreadState.READY):
             return True
         if thread.state is ThreadState.WAITING:
-            value = self._visible_value(thread, thread.wait.addr, thread.wait.size)
-            return bool(thread.wait.predicate(value))
+            return thread.wait_ready
         return False
 
     def _bulk_steps(
@@ -325,20 +338,56 @@ class Machine:
             self._steps += 1
             budget -= 1
 
-    def _runnable_ids(self) -> List[int]:
+    def _collect_runnable(self) -> List[int]:
+        """Agents that can step, in scheduler order: thread ids ascending,
+        each drain agent right after its thread.
+
+        Reads the cached ``wait_ready`` flags, so no predicate runs here.
+        The result is reused across steps until a transition clears
+        ``_runnable``: a thread blocking or finishing, a waiter's verdict
+        flipping on a write, a store buffer filling or emptying,
+        ``spawn``, ``restore``, or ``run()`` entry.
+        """
         runnable = []
         for thread in self._threads:
-            if thread.state in (ThreadState.NEW, ThreadState.READY):
+            state = thread.state
+            if (
+                state is ThreadState.READY
+                or state is ThreadState.NEW
+                or (state is ThreadState.WAITING and thread.wait_ready)
+            ):
                 runnable.append(thread.thread_id)
-            elif thread.state is ThreadState.WAITING:
-                value = self._visible_value(
-                    thread, thread.wait.addr, thread.wait.size
-                )
-                if thread.wait.predicate(value):
-                    runnable.append(thread.thread_id)
             if thread.store_buffer:
                 runnable.append(_DRAIN_BASE + thread.thread_id)
         return runnable
+
+    def _rewatch(self) -> None:
+        """Rebuild the watch index and re-check every waiter.
+
+        Needed wherever memory may have changed without passing through
+        :meth:`_mem_write`: setup code writing ``machine.memory`` before
+        :meth:`run`, and :meth:`restore` undoing the journal.
+        """
+        self._watch = {}
+        for thread in self._threads:
+            if thread.state is ThreadState.WAITING:
+                key = thread.wait.addr >> _WORD_SHIFT
+                self._watch.setdefault(key, []).append(thread)
+        for waiters in self._watch.values():
+            self._recheck(waiters)
+        self._runnable = None
+
+    def _recheck(self, waiters: List[SimThread]) -> None:
+        """Re-evaluate the predicates of threads waiting on a word that
+        was just written."""
+        for thread in waiters:
+            wait = thread.wait
+            ready = bool(
+                wait.predicate(self._visible_value(thread, wait.addr, wait.size))
+            )
+            if ready is not thread.wait_ready:
+                thread.wait_ready = ready
+                self._runnable = None
 
     def _step(self, thread_id: int) -> None:
         """Execute one scheduling step for ``thread_id``."""
@@ -379,6 +428,8 @@ class Machine:
                 wait.sync,
                 info=info,
             )
+            self._watch[wait.addr >> _WORD_SHIFT].remove(thread)
+            # Still runnable (READY now): the runnable list is unchanged.
             thread.wait = None
             thread.state = ThreadState.READY
             self._advance(thread, value)
@@ -398,6 +449,9 @@ class Machine:
             else:
                 thread.wait = op
                 thread.state = ThreadState.WAITING
+                thread.wait_ready = False
+                self._watch.setdefault(op.addr >> _WORD_SHIFT, []).append(thread)
+                self._runnable = None
             return
         result = self._execute(thread, op)
         self._advance(thread, result)
@@ -433,6 +487,7 @@ class Machine:
             thread.pending = thread.generator.send(send_value)
         except StopIteration as stop:
             thread.result = stop.value
+            self._runnable = None
             if thread.store_buffer:
                 # TSO: the thread's stores are not yet visible; drain
                 # agents finish the job, then THREAD_END is emitted.
@@ -443,11 +498,16 @@ class Machine:
 
     def _mem_write(self, addr: int, size: int, value: int) -> None:
         """All simulated stores funnel through here so the undo journal
-        can capture the overwritten bytes before they are lost."""
+        can capture the overwritten bytes before they are lost, and so
+        threads waiting on the written word are re-checked."""
         journal = self._journal
         if journal is not None:
             journal.append((addr, self.memory.read_bytes(addr, size)))
         self.memory.write(addr, size, value)
+        # Accesses never cross an aligned word, so the word is exact.
+        waiters = self._watch.get(addr >> _WORD_SHIFT)
+        if waiters:
+            self._recheck(waiters)
 
     # -- snapshot / restore -------------------------------------------------
 
@@ -558,6 +618,7 @@ class Machine:
                 # DRAINING/FINISHED bodies are exhausted and never
                 # resumed; keep no generator for them.
                 thread.generator = None
+        self._rewatch()
 
     # -- TSO store buffer ---------------------------------------------------
 
@@ -569,6 +630,8 @@ class Machine:
         outlive its buffer.
         """
         entry = thread.store_buffer.pop(0)
+        if not thread.store_buffer:
+            self._runnable = None
         if entry[0] == "store":
             _, addr, size, value, sync = entry
             self._mem_write(addr, size, value)
@@ -621,6 +684,8 @@ class Machine:
         overlap no longer flushes the buffer, which would strengthen
         memory order mid-schedule.
         """
+        if not thread.store_buffer:
+            return self.memory.read(addr, size), ""
         overlay = self.buffered_bytes(thread, addr, size)
         if all(byte is None for byte in overlay):
             return self.memory.read(addr, size), ""
@@ -668,6 +733,8 @@ class Machine:
             return value
         if isinstance(op, ops.Store):
             if tso:
+                if not thread.store_buffer:
+                    self._runnable = None
                 thread.store_buffer.append(
                     ("store", op.addr, op.size, op.value, op.sync)
                 )

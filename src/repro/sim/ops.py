@@ -86,6 +86,12 @@ class WaitUntil:
     consumes no scheduling steps while blocked.  This keeps traces free of
     unbounded spin loops while still emitting the conflicting load that
     orders the waiter after the releasing store.
+
+    ``predicate`` must be a pure function of the observed value: no side
+    effects, and no dependence on state other than its argument.  The
+    machine caches a blocked thread's verdict and re-evaluates it only
+    when a store, RMW or store-buffer drain writes the watched word, so a
+    predicate that reads other state would never see that state change.
     """
 
     addr: int

@@ -11,10 +11,21 @@ from __future__ import annotations
 
 import abc
 import random
-from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import SimulationError
+
+#: Scheduler ids at or above this base denote TSO store-buffer drain
+#: agents (id = _DRAIN_BASE + thread_id); below it, thread execution steps.
+_DRAIN_BASE = 1 << 20
+
+
+def agent_order(agent: int) -> int:
+    """Sort key of a scheduler id in the machine's runnable order:
+    thread ids ascending, each drain agent right after its thread."""
+    if agent >= _DRAIN_BASE:
+        return 2 * (agent - _DRAIN_BASE) + 1
+    return 2 * agent
 
 
 class Scheduler(abc.ABC):
@@ -22,15 +33,22 @@ class Scheduler(abc.ABC):
 
     @abc.abstractmethod
     def pick(self, runnable: Sequence[int]) -> int:
-        """Return one thread id from ``runnable`` (non-empty, sorted)."""
+        """Return one agent id from ``runnable``.
+
+        ``runnable`` is non-empty and ordered by :func:`agent_order`:
+        thread ids ascending, each TSO drain agent right after its
+        thread (``[0, d0, 1, d1, ...]``; on SC machines plain ascending
+        thread ids).  It is read-only: the machine hands the same list
+        to every pick until the runnable set changes.
+        """
 
 
 class RoundRobinScheduler(Scheduler):
-    """Cycle through threads in id order, skipping blocked ones.
+    """Cycle through agents in runnable order, skipping blocked ones.
 
-    ``pick`` is O(log n): the runnable list is sorted (the ``pick``
-    contract), so the smallest id greater than the previous choice — the
-    same id the historical linear scan returned — is found by bisection.
+    ``pick`` is O(log n): the runnable list is ordered by
+    :func:`agent_order` (the ``pick`` contract), so the first agent after
+    the previous choice — wrapping to the front — is found by bisection.
     At thousands of lanes the per-step linear scan was a measurable
     fraction of simulation time.
     """
@@ -39,9 +57,17 @@ class RoundRobinScheduler(Scheduler):
         self._last = -1
 
     def pick(self, runnable: Sequence[int]) -> int:
-        index = bisect_right(runnable, self._last)
-        self._last = runnable[index] if index < len(runnable) else runnable[0]
-        return self._last
+        last = self._last
+        lo, hi = 0, len(runnable)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if agent_order(runnable[mid]) <= last:
+                lo = mid + 1
+            else:
+                hi = mid
+        choice = runnable[lo] if lo < len(runnable) else runnable[0]
+        self._last = agent_order(choice)
+        return choice
 
 
 class RandomScheduler(Scheduler):

@@ -1,6 +1,8 @@
 """Unit tests for the simulated address space."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import MemoryAccessError
 from repro.memory import AddressSpace, Region
@@ -100,6 +102,54 @@ class TestReadWrite:
         base = space.region("volatile").base
         with pytest.raises(MemoryAccessError):
             space.read(base + 4, 8)
+
+
+def _scan_region_of(regions, addr, size):
+    """The linear lookup region_of's bisection must agree with."""
+    for region in regions:
+        if region.contains(addr, size):
+            return region.name
+        if region.base <= addr < region.end:
+            return "runs past"
+    return "unmapped"
+
+
+class TestRegionLookup:
+    def test_bulk_access_running_past_region_rejected(self, space):
+        end = space.region("volatile").end
+        with pytest.raises(MemoryAccessError, match="runs past region"):
+            space.read_bytes(end - 4, 8)
+        with pytest.raises(MemoryAccessError, match="runs past region"):
+            space.write_bytes(end - 2, b"abcd")
+
+    def test_word_access_past_region_end_rejected(self):
+        space = AddressSpace([Region("odd", 0x1000, 12, False)])
+        assert space.read(0x1008, 4) == 0
+        with pytest.raises(MemoryAccessError, match="runs past region"):
+            space.read(0x1008, 8)
+        with pytest.raises(MemoryAccessError, match="unmapped"):
+            space.write(0x1010, 8, 1)
+
+    @given(
+        extents=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(1, 40)), min_size=1, max_size=5
+        ),
+        addr=st.integers(0, 400),
+        size=st.integers(1, 16),
+    )
+    def test_bisection_agrees_with_linear_scan(self, extents, addr, size):
+        regions, cursor = [], 0
+        for index, (gap, length) in enumerate(extents):
+            base = cursor + 8 * gap
+            regions.append(Region(f"r{index}", base, length, index % 2 == 0))
+            cursor = base + length + (-(base + length) % 8)
+        space = AddressSpace(list(reversed(regions)))
+        expected = _scan_region_of(regions, addr, size)
+        if expected in ("runs past", "unmapped"):
+            with pytest.raises(MemoryAccessError, match=expected):
+                space.region_of(addr, size)
+        else:
+            assert space.region_of(addr, size).name == expected
 
 
 class TestBulkAccess:

@@ -6,6 +6,7 @@ from repro.errors import SimulationError
 from repro.sim import (
     SCHEDULER_KINDS,
     ChoiceRecordingScheduler,
+    Machine,
     RandomScheduler,
     ReplayScheduler,
     RoundRobinScheduler,
@@ -63,6 +64,38 @@ class TestRoundRobin:
             pick = scheduler.pick(runnable)
             assert pick == expected, (runnable, last)
             last = pick
+
+    def test_tso_cycles_through_drain_agents_in_runnable_order(self):
+        """TSO runnable lists are ``[0, d0, 1, d1, ...]``, not sorted:
+        round-robin visits every runnable agent in that order in turn,
+        so no thread starves behind another's store-buffer drains."""
+        drain = 1 << 20
+        machine = Machine(scheduler=RoundRobinScheduler(), consistency="tso")
+        cells = [machine.volatile_heap.malloc(8) for _ in range(3)]
+
+        def body(ctx, cell):
+            for value in range(1, 5):
+                yield from ctx.store(cell, value)
+
+        for cell in cells:
+            machine.spawn(body, cell)
+        seen = []
+        pick = machine.scheduler.pick
+
+        def recording_pick(runnable):
+            choice = pick(runnable)
+            seen.append((list(runnable), choice))
+            return choice
+
+        machine.scheduler.pick = recording_pick
+        machine.run()
+        choices = [choice for _, choice in seen]
+        assert choices[:9] == [0, 1, 2, 0, drain, 1, drain + 1, 2, drain + 2]
+        for (_, previous), (runnable, choice) in zip(seen, seen[1:]):
+            # The successor of the previous choice in runnable order.
+            if previous in runnable:
+                at = runnable.index(previous) + 1
+                assert choice == runnable[at % len(runnable)], (runnable, previous)
 
 
 class TestRandom:
